@@ -8,11 +8,12 @@ explicit BudgetExhausted verdict, never a wrong answer.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import enum
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 
 from .graphs import Graph, edges, enumerate_cliques, find_clique, has_clique, mask_of, max_clique
 
@@ -56,13 +57,6 @@ class EdgeColoring:
         if len(self.colors) != self.host.edge_count:
             raise ColoringError(
                 f"{len(self.colors)} colors for {self.host.edge_count} edges")
-
-    def color_of(self, u: int, v: int) -> int:
-        e = (u, v) if u < v else (v, u)
-        try:
-            return self.colors[edges(self.host).index(e)]
-        except ValueError:
-            raise ColoringError(f"({u},{v}) is not an edge") from None
 
     def to_json_obj(self) -> list[list[int]]:
         return [[u, v, c] for (u, v), c in zip(edges(self.host), self.colors)]
@@ -108,12 +102,6 @@ class SearchStats:
     def bump(self, cause: str):
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
 
-    def merge(self, other: "SearchStats"):
-        self.nodes += other.nodes
-        for k, v in other.prunings.items():
-            self.prunings[k] = self.prunings.get(k, 0) + v
-        self.seconds = max(self.seconds, other.seconds)
-
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -125,6 +113,14 @@ class SearchBudget:
             raise ValueError("max_nodes must be positive")
         if self.max_seconds is not None and self.max_seconds <= 0:
             raise ValueError("max_seconds must be positive")
+
+    def exceeded(self, nodes: int, start: float) -> bool:
+        """Has a search that started at `start` (monotonic clock) and has
+        visited `nodes` nodes run out?  The clock is read every 1024 nodes."""
+        if self.max_nodes is not None and nodes >= self.max_nodes:
+            return True
+        return (self.max_seconds is not None and nodes % 1024 == 0
+                and time.monotonic() - start > self.max_seconds)
 
 
 @dataclass
@@ -147,6 +143,77 @@ class SearchOutcome:
         elif isinstance(self.witness, VertexColoring):
             obj["witness"] = {"kind": "vertices", "coloring": list(self.witness.colors)}
         return obj
+
+
+# --- the constraint core of an edge instance --------------------------------
+
+class ArrowInstance:
+    """The constraints of one edge-arrowing question G -> (a_1,...,a_r).
+
+    Built once per (graph, spec) and read by the edge search, the
+    free-coloring check, the CNF encoder and the model decoder.  An edge id
+    is an index into the canonical edge list `edges(g)`.  `cliques[i]` holds
+    every forbidden clique of color i+1, in lexicographic order, as
+    (clique, ascending edge ids, edge bitmask); that order fixes the CNF
+    clause order and which violation is reported first.  The search-only
+    indexes `by_edge` and `order` are built on first use, so encoding and
+    decoding never pay for them.
+    """
+
+    def __init__(self, g: Graph, spec: ArrowSpec):
+        self.g = g
+        self.spec = spec
+        self.edges = edges(g)
+        self._eid = {e: i for i, e in enumerate(self.edges)}
+        self.cliques = tuple([self._constraint(c) for c in enumerate_cliques(g, a)]
+                             for a in spec.sizes)
+
+    def _edge_ids(self, clique) -> tuple[int, ...]:
+        # The pairs of an ascending clique come out in lexicographic order,
+        # hence in ascending edge id.
+        return tuple(map(self._eid.__getitem__, combinations(clique, 2)))
+
+    def _constraint(self, clique):
+        eids = self._edge_ids(clique)
+        return clique, eids, mask_of(eids)
+
+    @cached_property
+    def by_edge(self) -> tuple[list[list[int]], ...]:
+        """by_edge[i][e]: for each color-(i+1) clique containing edge e, the
+        bitmask of its other edges.  Coloring e with color i+1 completes the
+        clique iff all of those already have that color."""
+        out = []
+        for constraints in self.cliques:
+            per_edge: list[list[int]] = [[] for _ in self.edges]
+            for _, eids, mask in constraints:
+                for e in eids:
+                    per_edge[e].append(mask & ~(1 << e))
+            out.append(per_edge)
+        return tuple(out)
+
+    @cached_property
+    def order(self) -> list[int]:
+        """Static search order: edges inside the most maximum cliques first,
+        ties in lexicographic order, so monochromatic-clique constraints
+        complete as early as possible."""
+        count = [0] * len(self.edges)
+        for clique in enumerate_cliques(self.g, len(max_clique(self.g))):
+            for e in self._edge_ids(clique):
+                count[e] += 1
+        return sorted(range(len(self.edges)), key=lambda e: -count[e])
+
+    def violation(self, colors) -> tuple[int, tuple[int, ...]] | None:
+        """The first (color, clique) whose edges all carry that color under
+        the total coloring `colors` (aligned to `edges`), or None if free."""
+        class_mask = [0] * (self.spec.r + 1)
+        for e, c in enumerate(colors):
+            class_mask[c] |= 1 << e
+        for i, constraints in enumerate(self.cliques, start=1):
+            have = class_mask[i]
+            for clique, _, mask in constraints:
+                if mask & have == mask:
+                    return i, clique
+        return None
 
 
 # --- free-coloring verification ---------------------------------------------
@@ -177,13 +244,8 @@ def is_free_edge_coloring(g: Graph, spec: ArrowSpec, c: EdgeColoring):
     if c.host is not g and c.host != g:
         raise ColoringError("coloring belongs to a different graph")
     _check_colors(spec, c.colors)
-    col = {e: k for e, k in zip(edges(g), c.colors)}
-    for i, a in enumerate(spec.sizes, start=1):
-        for clique in enumerate_cliques(g, a):
-            if all(col[(clique[x], clique[y])] == i
-                   for x in range(len(clique)) for y in range(x + 1, len(clique))):
-                return False, (i, clique)
-    return True, None
+    violation = ArrowInstance(g, spec).violation(c.colors)
+    return violation is None, violation
 
 
 # --- Ramsey registry and derived pruning bounds ------------------------------
@@ -239,15 +301,6 @@ def arrows_vertices(g: Graph, spec: ArrowSpec,
     class_mask = [0] * (spec.r + 1)
     adj = g.adj
 
-    def over_budget() -> bool:
-        if budget is None:
-            return False
-        if budget.max_nodes is not None and stats.nodes >= budget.max_nodes:
-            return True
-        return (budget.max_seconds is not None
-                and stats.nodes % 1024 == 0
-                and time.monotonic() - start > budget.max_seconds)
-
     FOUND, EXHAUSTED, STOPPED = 0, 1, 2
     found: list[int] = []
 
@@ -258,7 +311,7 @@ def arrows_vertices(g: Graph, spec: ArrowSpec,
         v = order[depth]
         for i, a in enumerate(spec.sizes, start=1):
             stats.nodes += 1
-            if over_budget():
+            if budget is not None and budget.exceeded(stats.nodes, start):
                 return STOPPED
             if has_clique(g, class_mask[i] & adj[v], a - 1):
                 stats.bump("clique")
@@ -277,7 +330,8 @@ def arrows_vertices(g: Graph, spec: ArrowSpec,
     if res == FOUND:
         witness = VertexColoring(g, tuple(found))
         ok, _ = is_free_vertex_coloring(g, spec, witness)
-        assert ok, "search produced a non-free witness"
+        if not ok:
+            raise RuntimeError("search produced a non-free witness")
         return SearchOutcome(Verdict.FREE_COLORING, witness, stats)
     if res == STOPPED:
         return SearchOutcome(Verdict.BUDGET_EXHAUSTED, None, stats)
@@ -286,94 +340,59 @@ def arrows_vertices(g: Graph, spec: ArrowSpec,
 
 # --- edge arrowing ------------------------------------------------------------
 
-def _static_edge_order(g: Graph) -> list[int]:
-    # Edges inside the densest clique regions first: sort by how many maximum
-    # cliques contain each edge, descending; ties lexicographic.  Completes
-    # monochromatic-clique constraints as early as possible.
-    elist = edges(g)
-    idx = {e: i for i, e in enumerate(elist)}
-    count = [0] * len(elist)
-    w = len(max_clique(g))
-    for clique in enumerate_cliques(g, w):
-        for x in range(len(clique)):
-            for y in range(x + 1, len(clique)):
-                count[idx[(clique[x], clique[y])]] += 1
-    return sorted(range(len(elist)), key=lambda i: (-count[i], elist[i]))
+def _edge_search(inst: ArrowInstance, budget: SearchBudget | None,
+                 neighborhood_pruning: bool, progress_every: int = 0):
+    """Backtracking over edge colorings, one edge per depth in `inst.order`.
 
-
-def _edge_search(g: Graph, spec: ArrowSpec, budget: SearchBudget | None,
-                 neighborhood_pruning: bool, fixed: tuple[tuple[int, int], ...],
-                 progress_every: int = 0):
-    """Sequential backtracking core.  `fixed` pre-assigns (edge-index, color)
-    pairs (used for parallel work splitting).  Returns (result, colors, stats)
-    where result is 'found' | 'exhausted' | 'stopped'."""
-    elist = edges(g)
+    The recursion is unrolled into a loop over depths: the color of the edge
+    at each depth lives in `colors`, and returning to a depth resumes with
+    the next color.  Returns (verdict, colors or None, stats)."""
+    g, spec = inst.g, inst.spec
+    elist, order = inst.edges, inst.order
+    by_edge = (None,) + inst.by_edge  # indexed by color
     m = len(elist)
-    order = _static_edge_order(g)
-    pos = {e: i for i, e in enumerate(elist)}
-
-    # Per color: for every clique of the forbidden size, the bitmask of its
-    # edge indices; indexed by edge for fast "does this assignment complete a
-    # monochromatic clique" checks.
-    by_edge: list[dict[int, list[int]]] = [dict() for _ in range(spec.r + 1)]
-    for i, a in enumerate(spec.sizes, start=1):
-        for clique in enumerate_cliques(g, a):
-            cm = 0
-            eids = []
-            for x in range(len(clique)):
-                for y in range(x + 1, len(clique)):
-                    eid = pos[(clique[x], clique[y])]
-                    cm |= 1 << eid
-                    eids.append(eid)
-            for eid in eids:
-                by_edge[i].setdefault(eid, []).append(cm)
+    r = spec.r
 
     bounds = None
-    if neighborhood_pruning and spec.r == 2:
+    if neighborhood_pruning and r == 2:
         bounds = neighborhood_clique_bounds(spec)
+    # All forbidden sizes equal: colors are interchangeable, so fixing the
+    # first edge's color cuts the tree by a factor r without losing verdicts.
+    first_top = 1 if len(set(spec.sizes)) == 1 else r
+    nodes = 0
 
-    symmetric = len(set(spec.sizes)) == 1
     colors = [0] * m
-    color_mask = [0] * (spec.r + 1)
-    nbr = [[0] * g.n for _ in range(spec.r + 1)]
+    color_mask = [0] * (r + 1)
+    nbr = [[0] * g.n for _ in range(r + 1)]
     stats = SearchStats()
     start = time.monotonic()
-    fixed_map = dict(fixed)
-    found: list[int] = []
-
-    def over_budget() -> bool:
-        if budget is None:
-            return False
-        if budget.max_nodes is not None and stats.nodes >= budget.max_nodes:
-            return True
-        return (budget.max_seconds is not None
-                and stats.nodes % 1024 == 0
-                and time.monotonic() - start > budget.max_seconds)
-
-    def rec(depth: int) -> str:
+    depth = 0
+    verdict = Verdict.ARROWS
+    while depth >= 0:
         if depth == m:
-            found[:] = colors  # snapshot before the unwind resets it
-            return "found"
+            verdict = Verdict.FREE_COLORING
+            break
         eid = order[depth]
         u, v = elist[eid]
-        if eid in fixed_map:
-            choices = (fixed_map[eid],)
-        elif symmetric and depth == 0 and not fixed_map:
-            # All forbidden sizes equal: colors are interchangeable, so fixing
-            # the first edge's color halves the tree without losing verdicts.
-            choices = (1,)
-        else:
-            choices = range(1, spec.r + 1)
         bit = 1 << eid
-        for c in choices:
-            stats.nodes += 1
-            if progress_every and stats.nodes % progress_every == 0:
-                print(f"progress nodes={stats.nodes} depth={depth} "
+        c = colors[eid]
+        if c:  # back from the subtree below color c: undo it
+            nbr[c][u] &= ~(1 << v)
+            nbr[c][v] &= ~(1 << u)
+            color_mask[c] &= ~bit
+            colors[eid] = 0
+        top = first_top if depth == 0 else r
+        while c < top:
+            c += 1
+            nodes += 1
+            if progress_every and nodes % progress_every == 0:
+                print(f"progress nodes={nodes} depth={depth} "
                       f"prunings={stats.prunings}", file=sys.stderr)
-            if over_budget():
-                return "stopped"
-            new_mask = color_mask[c] | bit
-            if any(cm & ~new_mask == 0 for cm in by_edge[c].get(eid, ())):
+            if budget is not None and budget.exceeded(nodes, start):
+                verdict = Verdict.BUDGET_EXHAUSTED
+                break
+            have = color_mask[c]
+            if any(rest & have == rest for rest in by_edge[c][eid]):
                 stats.bump("clique")
                 continue
             if bounds is not None:
@@ -385,74 +404,39 @@ def _edge_search(g: Graph, spec: ArrowSpec, budget: SearchBudget | None,
                     stats.bump("neighborhood")
                     continue
             colors[eid] = c
-            color_mask[c] = new_mask
+            color_mask[c] = have | bit
             nbr[c][u] |= 1 << v
             nbr[c][v] |= 1 << u
-            res = rec(depth + 1)
-            nbr[c][u] &= ~(1 << v)
-            nbr[c][v] &= ~(1 << u)
-            color_mask[c] &= ~bit
-            colors[eid] = 0
-            if res != "exhausted":
-                return res
-        return "exhausted"
-
-    res = rec(0)
+            depth += 1
+            break
+        else:  # every color at this depth tried: backtrack
+            depth -= 1
+        if verdict is Verdict.BUDGET_EXHAUSTED:
+            break
+    stats.nodes = nodes
     stats.seconds = time.monotonic() - start
-    return res, tuple(found if res == "found" else colors), stats
-
-
-def _branch_worker(args):
-    g, spec, budget, pruning, fixed = args
-    return _edge_search(g, spec, budget, pruning, fixed)
+    return verdict, tuple(colors) if verdict is Verdict.FREE_COLORING else None, stats
 
 
 def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
-                 workers: int = 1, neighborhood_pruning: bool = True,
+                 neighborhood_pruning: bool = True,
                  progress_every: int = 0) -> SearchOutcome:
     """Exhaustive pruned backtracking over edge colorings.
 
     Assigns one edge per node in a static order, pruning any branch that
     completes a monochromatic forbidden clique and (for 2-color specs) any
     branch whose forced same-color neighborhood already contains a clique
-    beyond the Ramsey-derived cap.  With workers > 1 the tree is split at the
-    first edge's color choices; single-worker runs are fully deterministic.
+    beyond the Ramsey-derived cap.  Runs in one process and is fully
+    deterministic.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers == 1 or spec.r == 1:
-        res, colors, stats = _edge_search(
-            g, spec, budget, neighborhood_pruning, (), progress_every)
-        return _edge_outcome(g, spec, res, colors, stats)
-
-    sys.setrecursionlimit(10_000)
-    first = _static_edge_order(g)[0]
-    ncolors = 1 if len(set(spec.sizes)) == 1 else spec.r
-    jobs = [(g, spec, budget, neighborhood_pruning, ((first, c),))
-            for c in range(1, ncolors + 1)]
-    total = SearchStats()
-    results = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for res, colors, stats in pool.map(_branch_worker, jobs):
-            total.merge(stats)
-            results.append((res, colors))
-    for res, colors in results:  # lowest branch first: stable aggregation
-        if res == "found":
-            return _edge_outcome(g, spec, res, colors, total)
-    if any(res == "stopped" for res, _ in results):
-        return SearchOutcome(Verdict.BUDGET_EXHAUSTED, None, total)
-    return SearchOutcome(Verdict.ARROWS, None, total)
-
-
-def _edge_outcome(g, spec, res, colors, stats) -> SearchOutcome:
-    if res == "found":
-        witness = EdgeColoring(g, colors)
-        ok, _ = is_free_edge_coloring(g, spec, witness)
-        assert ok, "search produced a non-free witness"
-        return SearchOutcome(Verdict.FREE_COLORING, witness, stats)
-    if res == "stopped":
-        return SearchOutcome(Verdict.BUDGET_EXHAUSTED, None, stats)
-    return SearchOutcome(Verdict.ARROWS, None, stats)
+    inst = ArrowInstance(g, spec)
+    verdict, colors, stats = _edge_search(inst, budget, neighborhood_pruning,
+                                          progress_every)
+    if verdict is not Verdict.FREE_COLORING:
+        return SearchOutcome(verdict, None, stats)
+    if inst.violation(colors) is not None:
+        raise RuntimeError("search produced a non-free witness")
+    return SearchOutcome(verdict, EdgeColoring(g, colors), stats)
 
 
 # --- per-vertex audit of a claimed free coloring ------------------------------

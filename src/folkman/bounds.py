@@ -52,8 +52,8 @@ def build_theorem_graph() -> Graph:
 def build_lin_graph() -> Graph:
     """K_8 + C_5 + C_5: the unique 18-vertex candidate for F_e(3,5;13) = 18.
 
-    Whether it edge-arrows (3,5) is an open problem; this graph exists here
-    as an experiment target only and no bound is ever concluded from it.
+    Whether it edge-arrows (3,5) is an open problem.  `bound_certificate`
+    refuses the bound it would give, 18 < 21, the best published upper bound.
     """
     return join(complete(8), join(cycle(5), cycle(5))).relabel("K8+C5+C5")
 
@@ -152,21 +152,52 @@ class BoundCertificate:
         }
 
 
-def _evidence_record(evidence) -> dict:
+def _evidence_record(evidence, graph6: str, spec: ArrowSpec) -> dict:
     if isinstance(evidence, SearchOutcome):
         if evidence.verdict is not Verdict.ARROWS:
             raise CertificateError(
                 f"evidence verdict is {evidence.verdict.value}, need arrows")
         return {"kind": "native-search", **evidence.to_json_obj()}
-    if isinstance(evidence, dict):
-        if evidence.get("status", "").upper() == "UNSAT":
-            return {"kind": "solver-unsat", **evidence}
-        if evidence.get("verdict") == Verdict.ARROWS.value:
-            return {"kind": "native-search", **evidence}
+    if not isinstance(evidence, dict):
+        raise CertificateError(f"unsupported evidence type {type(evidence).__name__}")
+    status = evidence.get("status")
+    if isinstance(status, str) and status.upper() == "UNSAT":
+        kind = "solver-unsat"
+    elif evidence.get("verdict") == Verdict.ARROWS.value:
+        kind = "native-search"
+        # A run record says nothing unless it names the instance it ran on.
+        missing = [k for k in ("graph6", "spec") if k not in evidence]
+        if missing:
+            raise CertificateError(
+                f"native-search record lacks {', '.join(missing)}: it is not "
+                "tied to a graph and spec")
+    else:
         raise CertificateError(
             "evidence record is neither a solver UNSAT result nor an "
-            f"arrows search run: {evidence.get('status') or evidence.get('verdict')!r}")
-    raise CertificateError(f"unsupported evidence type {type(evidence).__name__}")
+            f"arrows search run: {status or evidence.get('verdict')!r}")
+    if evidence.get("graph6", graph6) != graph6:
+        raise CertificateError("evidence record is for a different graph")
+    if evidence.get("spec", list(spec.sizes)) != list(spec.sizes):
+        raise CertificateError("evidence record is for a different spec")
+    return {"kind": kind, **evidence}
+
+
+def _check_catalog(spec: ArrowSpec, q: int, n: int):
+    # No evidence kind accepted here is checked independently yet, so a
+    # bound below the best published upper bound is refused along with one
+    # that contradicts a published lower bound.
+    entry = lookup_known(spec.sizes, q)
+    if entry is None:
+        return
+    if n < entry.low:
+        raise CertificateError(
+            f"F_e({spec};{q}) <= {n} contradicts the known lower bound "
+            f"{entry.low} ({', '.join(entry.sources)})")
+    if n < entry.high:
+        raise CertificateError(
+            f"F_e({spec};{q}) <= {n} would beat the best published upper "
+            f"bound {entry.high}; no evidence kind accepted here is "
+            "independently checked yet")
 
 
 def bound_certificate(g: Graph, spec: ArrowSpec, q: int,
@@ -174,18 +205,22 @@ def bound_certificate(g: Graph, spec: ArrowSpec, q: int,
     """Build the machine-checkable record for F_e(spec; q) <= |V(g)|.
 
     The clique number is recomputed here, never trusted from the caller, and
-    the evidence must be conclusive: an Arrows search outcome or an external
-    solver UNSAT record.
+    the evidence must be conclusive: an Arrows search outcome, an arrows run
+    record naming this graph and spec, or an external solver UNSAT record
+    (which, if it names a graph6 or spec, must name these).  A bound below
+    the catalog's best published upper bound for (spec, q) is refused.
     """
-    record = _evidence_record(evidence)
+    graph6 = emit_graph6(g)
+    record = _evidence_record(evidence, graph6, spec)
     cl = len(max_clique(g))
     if cl >= q:
         raise CertificateError(f"clique number {cl} >= q={q}: graph ineligible")
+    _check_catalog(spec, q, g.n)
     bound = f"F_e({spec};{q}) <= {g.n}"
     return BoundCertificate(
         schema=CERTIFICATE_SCHEMA,
         label=g.label or "unlabeled",
-        graph6=emit_graph6(g),
+        graph6=graph6,
         vertex_count=g.n,
         sizes=spec.sizes,
         q=q,

@@ -161,25 +161,13 @@ def cmd_arrows(args) -> int:
     except (CliError, ValueError, bounds.ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    workers = 1 if args.deterministic else args.workers
     if args.kind == "vertices":
         outcome = arrows_vertices(g, spec, budget)
     else:
-        outcome = arrows_edges(g, spec, budget, workers=workers,
+        outcome = arrows_edges(g, spec, budget,
                                neighborhood_pruning=not args.no_bound_pruning,
                                progress_every=args.progress)
     return _report_outcome(g, spec, outcome, args)
-
-
-def cmd_experiment(args) -> int:
-    # Open-problem target: K8+C5+C5.  Reports the raw outcome only; a bound
-    # is never concluded from this command.
-    args.graph = "lin-graph"
-    args.kind = "edges"
-    args.evidence_out = None
-    code = cmd_arrows(args)
-    print("note experiment target; no bound concluded", file=sys.stderr)
-    return code
 
 
 def cmd_encode(args) -> int:
@@ -227,13 +215,6 @@ def cmd_certify(args) -> int:
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if evidence.get("graph6") not in (None, emit_graph6(g)):
-        print("error: evidence record is for a different graph", file=sys.stderr)
-        return EXIT_USAGE
-    ev_spec = evidence.get("spec")
-    if ev_spec is not None and tuple(ev_spec) != spec.sizes:
-        print("error: evidence record is for a different spec", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cert = bound_certificate(g, spec, args.q, evidence)
     except CertificateError as exc:
@@ -257,9 +238,6 @@ def _add_budget_flags(p):
                    help="node budget (env FOLKMAN_MAX_NODES)")
     p.add_argument("--max-seconds", type=float, default=None,
                    help="wall-time budget (env FOLKMAN_MAX_SECONDS)")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--deterministic", action="store_true",
-                   help="force single-worker reproducible search")
     p.add_argument("--no-bound-pruning", action="store_true",
                    help="disable Ramsey neighborhood-bound pruning")
     p.add_argument("--progress", type=int, default=0, metavar="N",
@@ -283,12 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(p)
     p.add_argument("--evidence-out", help="path for the arrows run record JSON")
     p.set_defaults(fn=cmd_arrows)
-
-    p = sub.add_parser("experiment",
-                       help="run the open-problem K8+C5+C5 edge search")
-    p.add_argument("--spec", default="3,5")
-    _add_budget_flags(p)
-    p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("encode", help="emit a DIMACS CNF for edge arrowing")
     p.add_argument("--graph", required=True)

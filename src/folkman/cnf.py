@@ -11,8 +11,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .graphs import Graph, edges, enumerate_cliques
-from .arrowing import ArrowSpec, EdgeColoring, is_free_edge_coloring
+from .graphs import Graph, edges
+from .arrowing import ArrowInstance, ArrowSpec, EdgeColoring
 
 
 class CnfError(ValueError):
@@ -52,24 +52,17 @@ def encode_edge_arrowing(g: Graph, spec: ArrowSpec) -> CnfFormula:
     encodings of the same instance are identical."""
     if spec.r != 2:
         raise CnfError("CNF encoding supports 2-color specs only")
-    var = edge_variable_map(g)
-    a1, a2 = spec.sizes
-    clauses: list[list[int]] = []
-    for clique in enumerate_cliques(g, a1):
-        clauses.append([-var[(clique[x], clique[y])]
-                        for x in range(len(clique))
-                        for y in range(x + 1, len(clique))])
-    for clique in enumerate_cliques(g, a2):
-        clauses.append([var[(clique[x], clique[y])]
-                        for x in range(len(clique))
-                        for y in range(x + 1, len(clique))])
+    inst = ArrowInstance(g, spec)
+    blue, red = inst.cliques
+    clauses = [[-(e + 1) for e in eids] for _, eids, _ in blue]
+    clauses += [[e + 1 for e in eids] for _, eids, _ in red]
     comments = [
         f"graph {g.label or 'unlabeled'} n={g.n} m={g.edge_count}",
         f"spec {spec} (true = color 1 = blue, false = color 2 = red)",
         "satisfiable iff a free edge coloring exists",
     ]
-    comments += [f"edge {i} {u} {v}" for (u, v), i in var.items()]
-    f = CnfFormula(len(var), clauses, comments)
+    comments += [f"edge {i} {u} {v}" for i, (u, v) in enumerate(inst.edges, start=1)]
+    f = CnfFormula(len(inst.edges), clauses, comments)
     f.validate()
     return f
 
@@ -149,19 +142,20 @@ def decode_model(g: Graph, spec: ArrowSpec, model) -> EdgeColoring:
     """
     if spec.r != 2:
         raise CnfError("decoding supports 2-color specs only")
-    var = edge_variable_map(g)
+    inst = ArrowInstance(g, spec)
     assignment: dict[int, bool] = {}
     for lit in model:
         if lit == 0:
             continue
         assignment[abs(lit)] = lit > 0
-    missing = [i for i in range(1, len(var) + 1) if i not in assignment]
+    num_vars = len(inst.edges)
+    missing = [i for i in range(1, num_vars + 1) if i not in assignment]
     if missing:
         raise CnfError(f"model leaves variables unassigned: {missing[:5]}")
-    colors = tuple(1 if assignment[var[e]] else 2 for e in edges(g))
+    colors = tuple(1 if assignment[i] else 2 for i in range(1, num_vars + 1))
     coloring = EdgeColoring(g, colors)
-    ok, violation = is_free_edge_coloring(g, spec, coloring)
-    if not ok:
+    violation = inst.violation(colors)
+    if violation is not None:
         raise CnfError(
             f"model decodes to a non-free coloring: clique {violation[1]} is "
             f"monochromatic in color {violation[0]} (encoder/solver inconsistency)")

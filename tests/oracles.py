@@ -8,11 +8,13 @@ from itertools import combinations, product
 
 import numpy as np
 
-from folkman.graphs import Graph, edges
+from folkman.graphs import Graph
 
 
 def edge_set(g: Graph) -> set[tuple[int, int]]:
-    return set(edges(g))
+    """Edges (u, v), u < v, read straight off the adjacency bitmasks."""
+    return {(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+            if g.adj[u] >> v & 1}
 
 
 def is_clique(g: Graph, vs) -> bool:
@@ -57,7 +59,7 @@ def brute_arrows_edges_2color(g: Graph, sizes) -> tuple[bool, dict | None]:
     Bit e set means edge e has color 1.  Returns (arrows, free witness dict).
     """
     assert len(sizes) == 2
-    elist = edges(g)
+    elist = sorted(edge_set(g))
     m = len(elist)
     eidx = {e: i for i, e in enumerate(elist)}
     dtype = np.uint32 if m <= 31 else np.uint64
@@ -78,7 +80,7 @@ def brute_arrows_edges_2color(g: Graph, sizes) -> tuple[bool, dict | None]:
 
 def brute_arrows_edges(g: Graph, sizes) -> tuple[bool, dict | None]:
     """Plain product enumeration; only for very small edge counts."""
-    elist = edges(g)
+    elist = sorted(edge_set(g))
     for colors in product(range(1, len(sizes) + 1), repeat=len(elist)):
         coloring = dict(zip(elist, colors))
         if brute_is_free_edge_coloring(g, sizes, coloring):

@@ -174,7 +174,6 @@ def test_criterion_8_determinism(tmp_path, capsys):
         w = tmp_path / f"w{i}.json"
         d = tmp_path / f"d{i}.cnf"
         code = cli_main(["arrows", "edges", "--graph", "K8", "--spec", "3,4",
-                         "--workers", "1", "--deterministic",
                          "--witness", str(w)])
         assert code == 1
         code = cli_main(["encode", "--graph", "theorem-graph", "--spec", "3,5",

@@ -1,13 +1,16 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from folkman.arrowing import (ArrowSpec, AuditError, ColoringError,
-                              EdgeColoring, SearchBudget, Verdict,
-                              VertexColoring, arrows_edges, arrows_vertices,
-                              audit_free_coloring, is_free_edge_coloring,
-                              is_free_vertex_coloring, ramsey_known,
-                              neighborhood_clique_bounds)
+from folkman import arrowing
+from folkman.arrowing import (ArrowInstance, ArrowSpec, AuditError,
+                              ColoringError, EdgeColoring, SearchBudget,
+                              Verdict, VertexColoring, arrows_edges,
+                              arrows_vertices, audit_free_coloring,
+                              is_free_edge_coloring, is_free_vertex_coloring,
+                              ramsey_known, neighborhood_clique_bounds)
 from folkman.graphs import Graph, complete, cycle, edges, join
 from folkman.bounds import build_q, build_theorem_graph
 from oracles import (brute_arrows_edges, brute_arrows_edges_2color,
@@ -197,19 +200,60 @@ def test_arrows_vertices_budget_exhaustion():
     assert out.verdict is Verdict.BUDGET_EXHAUSTED
 
 
-def test_arrows_edges_parallel_matches_sequential():
-    for n, spec in [(5, (3, 3)), (6, (3, 3)), (8, (3, 4))]:
-        seq = arrows_edges(complete(n), ArrowSpec(spec), workers=1)
-        par = arrows_edges(complete(n), ArrowSpec(spec), workers=2)
-        assert seq.verdict == par.verdict
-
-
 def test_deterministic_witness_reproducible():
     g = complete(8)
     spec = ArrowSpec((3, 4))
-    w1 = arrows_edges(g, spec, workers=1).witness
-    w2 = arrows_edges(g, spec, workers=1).witness
+    w1 = arrows_edges(g, spec).witness
+    w2 = arrows_edges(g, spec).witness
     assert w1.colors == w2.colors
+
+
+def test_arrows_edges_search_pins():
+    # Node and pruning counts and the witness pin the search itself: edge
+    # order, pruning tests and the first-edge symmetry cut.
+    out = arrows_edges(complete(6), ArrowSpec((3, 3)))
+    assert out.verdict is Verdict.ARROWS
+    assert (out.stats.nodes, out.stats.prunings) == (19, {"neighborhood": 10})
+    out = arrows_edges(complete(8), ArrowSpec((3, 4)))
+    assert out.verdict is Verdict.FREE_COLORING
+    assert out.stats.nodes == 120
+    assert out.stats.prunings == {"clique": 34, "neighborhood": 20}
+    digest = hashlib.sha256(json.dumps(out.witness.to_json_obj()).encode())
+    assert digest.hexdigest() == (
+        "0cfb1e2e88f2a4f386dd39cc8cb552cbb7dcf62e90f7c6cb03c9a4d8f7b82ad3")
+    # In K_n every edge lies in the one maximum clique, so the order is
+    # lexicographic there; these joins pin the max-clique edge order.
+    c5c5 = join(cycle(5), cycle(5))
+    out = arrows_edges(c5c5, ArrowSpec((3, 3)))
+    assert out.verdict is Verdict.FREE_COLORING
+    assert (out.stats.nodes, out.stats.prunings) == (51, {"clique": 16})
+    out = arrows_edges(join(complete(1), c5c5), ArrowSpec((3, 3)),
+                       budget=SearchBudget(max_nodes=10_000))
+    assert out.verdict is Verdict.ARROWS
+    assert out.stats.nodes == 129
+    assert out.stats.prunings == {"clique": 15, "neighborhood": 50}
+
+
+def test_arrows_edges_deep_search_no_recursion_limit():
+    # K32,32 has 1024 edges, one search depth each, past Python's default
+    # recursion limit.  It is triangle-free, so the first coloring tried is
+    # free and the search visits one node per edge.
+    g = Graph.from_edges(64, [(u, 32 + v) for u in range(32) for v in range(32)])
+    out = arrows_edges(g, ArrowSpec((3, 3)))
+    assert out.verdict is Verdict.FREE_COLORING
+    assert out.stats.nodes == 1024
+
+
+def test_non_free_witness_raises(monkeypatch):
+    # The witness checks must survive `python -O`, so they cannot be asserts.
+    monkeypatch.setattr(ArrowInstance, "violation",
+                        lambda self, colors: (1, (0, 1, 2)))
+    with pytest.raises(RuntimeError, match="non-free witness"):
+        arrows_edges(complete(5), ArrowSpec((3, 3)))
+    monkeypatch.setattr(arrowing, "is_free_vertex_coloring",
+                        lambda g, spec, c: (False, (1, (0, 1, 2))))
+    with pytest.raises(RuntimeError, match="non-free witness"):
+        arrows_vertices(complete(4), ArrowSpec((3, 3)))
 
 
 # --- ramsey registry and bounds ------------------------------------------------

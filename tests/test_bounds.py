@@ -78,9 +78,48 @@ def test_certificate_accepts_solver_unsat_record():
     assert cert.evidence["kind"] == "solver-unsat"
 
 
+def test_certificate_ties_records_to_instance():
+    spec = ArrowSpec((3, 3))
+    g6 = emit_graph6(complete(6))
+    with pytest.raises(CertificateError, match="lacks graph6, spec"):
+        bound_certificate(complete(6), spec, 7, {"verdict": "arrows"})
+    with pytest.raises(CertificateError, match="lacks spec"):
+        bound_certificate(complete(6), spec, 7, {"verdict": "arrows", "graph6": g6})
+    with pytest.raises(CertificateError, match="different graph"):
+        bound_certificate(complete(6), spec, 7, {
+            "verdict": "arrows", "graph6": emit_graph6(complete(7)), "spec": [3, 3]})
+    with pytest.raises(CertificateError, match="different spec"):
+        bound_certificate(complete(6), spec, 7, {
+            "verdict": "arrows", "graph6": g6, "spec": [3, 4]})
+    with pytest.raises(CertificateError, match="different graph"):
+        bound_certificate(complete(6), spec, 7, {
+            "status": "UNSAT", "graph6": emit_graph6(complete(7))})
+    cert = bound_certificate(complete(6), spec, 7, {
+        "verdict": "arrows", "graph6": g6, "spec": [3, 3]})
+    assert cert.evidence["kind"] == "native-search"
+
+
+def test_certificate_catalog_gate():
+    spec = ArrowSpec((3, 5))
+
+    def tied(g):
+        return {"verdict": "arrows", "graph6": emit_graph6(g), "spec": [3, 5]}
+
+    lin = build_lin_graph()  # 18 vertices: open problem, below the best 21
+    with pytest.raises(CertificateError, match="best published upper bound 21"):
+        bound_certificate(lin, spec, 13, tied(lin))
+    with pytest.raises(CertificateError, match="known lower bound 18"):
+        bound_certificate(complete(12), spec, 13, tied(complete(12)))
+    cert = bound_certificate(build_theorem_graph(), spec, 13,
+                             {"status": "UNSAT", "dimacs_sha256": "0" * 64})
+    assert cert.bound == "F_e(3,5;13) <= 21"
+
+
 def test_certificate_rejects_sat_solver_record():
     with pytest.raises(CertificateError):
         bound_certificate(complete(6), ArrowSpec((3, 3)), 7, {"status": "SAT"})
+    with pytest.raises(CertificateError):
+        bound_certificate(complete(6), ArrowSpec((3, 3)), 7, {"status": 1})
 
 
 def test_known_numbers_catalog():

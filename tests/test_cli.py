@@ -171,11 +171,17 @@ def test_certify_rejects_mismatched_graph(capsys, tmp_path):
     assert "different graph" in err
 
 
-def test_experiment_reports_budget(capsys):
-    code, out, err = run(capsys, "experiment", "--max-nodes", "500")
-    assert code == 2
-    assert out_map(out)["verdict"] == "budget-exhausted"
-    assert "no bound concluded" in err
+def test_certify_refuses_untied_record_for_open_problem(capsys, tmp_path):
+    # K8+C5+C5 -> (3,5) is open; a bare arrows record must not turn into
+    # F_e(3,5;13) <= 18.
+    evidence = tmp_path / "bare.json"
+    evidence.write_text(json.dumps({"verdict": "arrows"}))
+    code, out, err = run(capsys, "certify", "--graph", "lin-graph",
+                         "--spec", "3,5", "--q", "13",
+                         "--evidence", str(evidence))
+    assert code == 3
+    assert out == ""
+    assert "error" in err
 
 
 def test_catalog(capsys):
@@ -191,7 +197,7 @@ def test_deterministic_outputs_byte_identical(capsys, tmp_path):
         w = tmp_path / f"w{i}.json"
         d = tmp_path / f"d{i}.cnf"
         run(capsys, "arrows", "edges", "--graph", "K8", "--spec", "3,4",
-            "--workers", "1", "--deterministic", "--witness", str(w))
+            "--witness", str(w))
         run(capsys, "encode", "--graph", "theorem-graph", "--spec", "3,5",
             "-o", str(d))
         paths.append((w.read_bytes(), d.read_bytes()))
