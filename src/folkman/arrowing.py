@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .graphs import Graph, edges, enumerate_cliques, find_clique, has_clique, mask_of, max_clique
+from .graphs import (Graph, edges, emit_graph6, enumerate_cliques, find_clique,
+                     has_clique, mask_of, max_clique)
 
 
 class ColoringError(ValueError):
@@ -68,6 +69,8 @@ class EdgeColoring:
             e = (u, v) if u < v else (v, u)
             if e not in want:
                 raise ColoringError(f"({u},{v}) is not an edge of the host")
+            if want[e] is not None:
+                raise ColoringError(f"edge ({u},{v}) is colored twice")
             want[e] = c
         missing = [e for e, c in want.items() if c is None]
         if missing:
@@ -125,12 +128,25 @@ class SearchBudget:
 
 @dataclass
 class SearchOutcome:
+    """The verdict of one search and the instance it decided: `search` is
+    "edges" or "vertices"."""
+
     verdict: Verdict
     witness: EdgeColoring | VertexColoring | None
     stats: SearchStats
+    graph: Graph
+    spec: ArrowSpec
+    search: str
 
     def to_json_obj(self) -> dict:
-        obj = {
+        """The run record: what `arrows --evidence-out` writes and what
+        `bounds.bound_certificate` checks, for in-process outcomes too."""
+        return {
+            "schema": "folkman-arrows-run/2",
+            "graph6": emit_graph6(self.graph),
+            "label": self.graph.label,
+            "spec": list(self.spec.sizes),
+            "search": self.search,
             "verdict": self.verdict.value,
             "stats": {
                 "nodes": self.stats.nodes,
@@ -138,11 +154,6 @@ class SearchOutcome:
                 "seconds": round(self.stats.seconds, 3),
             },
         }
-        if isinstance(self.witness, EdgeColoring):
-            obj["witness"] = {"kind": "edges", "coloring": self.witness.to_json_obj()}
-        elif isinstance(self.witness, VertexColoring):
-            obj["witness"] = {"kind": "vertices", "coloring": list(self.witness.colors)}
-        return obj
 
 
 # --- the constraint core of an edge instance --------------------------------
@@ -332,10 +343,9 @@ def arrows_vertices(g: Graph, spec: ArrowSpec,
         ok, _ = is_free_vertex_coloring(g, spec, witness)
         if not ok:
             raise RuntimeError("search produced a non-free witness")
-        return SearchOutcome(Verdict.FREE_COLORING, witness, stats)
-    if res == STOPPED:
-        return SearchOutcome(Verdict.BUDGET_EXHAUSTED, None, stats)
-    return SearchOutcome(Verdict.ARROWS, None, stats)
+        return SearchOutcome(Verdict.FREE_COLORING, witness, stats, g, spec, "vertices")
+    verdict = Verdict.BUDGET_EXHAUSTED if res == STOPPED else Verdict.ARROWS
+    return SearchOutcome(verdict, None, stats, g, spec, "vertices")
 
 
 # --- edge arrowing ------------------------------------------------------------
@@ -433,10 +443,10 @@ def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
     verdict, colors, stats = _edge_search(inst, budget, neighborhood_pruning,
                                           progress_every)
     if verdict is not Verdict.FREE_COLORING:
-        return SearchOutcome(verdict, None, stats)
+        return SearchOutcome(verdict, None, stats, g, spec, "edges")
     if inst.violation(colors) is not None:
         raise RuntimeError("search produced a non-free witness")
-    return SearchOutcome(verdict, EdgeColoring(g, colors), stats)
+    return SearchOutcome(verdict, EdgeColoring(g, colors), stats, g, spec, "edges")
 
 
 # --- per-vertex audit of a claimed free coloring ------------------------------

@@ -153,11 +153,6 @@ class BoundCertificate:
 
 
 def _evidence_record(evidence, graph6: str, spec: ArrowSpec) -> dict:
-    if isinstance(evidence, SearchOutcome):
-        if evidence.verdict is not Verdict.ARROWS:
-            raise CertificateError(
-                f"evidence verdict is {evidence.verdict.value}, need arrows")
-        return {"kind": "native-search", **evidence.to_json_obj()}
     if not isinstance(evidence, dict):
         raise CertificateError(f"unsupported evidence type {type(evidence).__name__}")
     status = evidence.get("status")
@@ -166,11 +161,15 @@ def _evidence_record(evidence, graph6: str, spec: ArrowSpec) -> dict:
     elif evidence.get("verdict") == Verdict.ARROWS.value:
         kind = "native-search"
         # A run record says nothing unless it names the instance it ran on.
-        missing = [k for k in ("graph6", "spec") if k not in evidence]
+        missing = [k for k in ("graph6", "spec", "search") if k not in evidence]
         if missing:
             raise CertificateError(
                 f"native-search record lacks {', '.join(missing)}: it is not "
-                "tied to a graph and spec")
+                "tied to a graph, spec and search")
+        if evidence["search"] != "edges":
+            raise CertificateError(
+                f"native-search record is from a {evidence['search']!r} search; "
+                "an edge Folkman bound needs an 'edges' search")
     else:
         raise CertificateError(
             "evidence record is neither a solver UNSAT result nor an "
@@ -205,12 +204,16 @@ def bound_certificate(g: Graph, spec: ArrowSpec, q: int,
     """Build the machine-checkable record for F_e(spec; q) <= |V(g)|.
 
     The clique number is recomputed here, never trusted from the caller, and
-    the evidence must be conclusive: an Arrows search outcome, an arrows run
-    record naming this graph and spec, or an external solver UNSAT record
-    (which, if it names a graph6 or spec, must name these).  A bound below
-    the catalog's best published upper bound for (spec, q) is refused.
+    the evidence must be conclusive: an arrows run record of an edge search
+    on this graph and spec, or an external solver UNSAT record (which, if it
+    names a graph6 or spec, must name these).  An in-process SearchOutcome
+    is first turned into its run record, so it passes the same check.  A
+    bound below the catalog's best published upper bound for (spec, q) is
+    refused.
     """
     graph6 = emit_graph6(g)
+    if isinstance(evidence, SearchOutcome):
+        evidence = evidence.to_json_obj()
     record = _evidence_record(evidence, graph6, spec)
     cl = len(max_clique(g))
     if cl >= q:

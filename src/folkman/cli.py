@@ -1,32 +1,34 @@
 """Command-line front door.
 
 Exit codes for search commands: 0 = Arrows, 1 = FreeColoring (witness
-written), 2 = BudgetExhausted, 3+ = usage or input error.  Standard output
-is machine-parseable key/value lines; progress goes to standard error.
+written), 2 = BudgetExhausted.  Every command exits 3 on a usage or input
+error (bad arguments, graph, spec, parameters, evidence or files; the
+message goes to standard error as `error: ...`) and 4 on an internal error
+(the traceback goes to standard error), so a failure never reads as a
+verdict.  Standard output is machine-parseable key/value lines; progress
+goes to standard error.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
 
 from . import bounds, cnf, graphs
 from .arrowing import (ArrowSpec, EdgeColoring, SearchBudget, SearchOutcome,
-                       Verdict, VertexColoring, arrows_edges, arrows_vertices,
-                       is_free_edge_coloring)
-from .bounds import BUILTIN_GRAPHS, CertificateError, bound_certificate
+                       Verdict, arrows_edges, arrows_vertices)
+from .bounds import BUILTIN_GRAPHS, bound_certificate
 from .graphs import Graph, complete, cycle, circulant, emit_graph6, join, max_clique
 
 EXIT_ARROWS = 0
 EXIT_FREE = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 WITNESS_SCHEMA = "folkman-witness/1"
-RUN_SCHEMA = "folkman-arrows-run/1"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,10 +55,7 @@ def resolve_graph(source: str) -> Graph:
     if m:
         return cycle(int(m.group(1)))
     if source.startswith("@"):
-        try:
-            text = Path(source[1:]).read_text()
-        except OSError as exc:
-            raise CliError(f"cannot read graph file: {exc}")
+        text = Path(source[1:]).read_text()
         try:
             return graphs.parse_graph6(text).relabel(Path(source[1:]).stem)
         except graphs.Graph6Error as exc:
@@ -68,15 +67,9 @@ def resolve_graph(source: str) -> Graph:
 
 
 def _budget_from(args) -> SearchBudget | None:
-    max_nodes = args.max_nodes
-    max_seconds = args.max_seconds
-    if max_nodes is None and os.environ.get("FOLKMAN_MAX_NODES"):
-        max_nodes = int(os.environ["FOLKMAN_MAX_NODES"])
-    if max_seconds is None and os.environ.get("FOLKMAN_MAX_SECONDS"):
-        max_seconds = float(os.environ["FOLKMAN_MAX_SECONDS"])
-    if max_nodes is None and max_seconds is None:
+    if args.max_nodes is None and args.max_seconds is None:
         return None
-    return SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds)
+    return SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
 
 
 def _dump_json(obj, path: str | None) -> str:
@@ -101,22 +94,18 @@ def _witness_obj(g: Graph, spec: ArrowSpec, witness) -> dict:
 def cmd_construct(args) -> int:
     name = args.name[0]
     params = args.name[1:]
-    try:
-        if name == "circulant":
-            if len(params) != 2:
-                raise CliError("usage: construct circulant <n> <d1,d2,...>")
-            g = circulant(int(params[0]), [int(d) for d in params[1].split(",")])
-        elif name == "join":
-            if len(params) != 2:
-                raise CliError("usage: construct join <graph> <graph>")
-            g = join(resolve_graph(params[0]), resolve_graph(params[1]))
-        elif params:
-            raise CliError(f"construct {name} takes no parameters")
-        else:
-            g = resolve_graph(name)
-    except (CliError, graphs.GraphError, bounds.ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if name == "circulant":
+        if len(params) != 2:
+            raise CliError("usage: construct circulant <n> <d1,d2,...>")
+        g = circulant(int(params[0]), [int(d) for d in params[1].split(",")])
+    elif name == "join":
+        if len(params) != 2:
+            raise CliError("usage: construct join <graph> <graph>")
+        g = join(resolve_graph(params[0]), resolve_graph(params[1]))
+    elif params:
+        raise CliError(f"construct {name} takes no parameters")
+    else:
+        g = resolve_graph(name)
     clique = max_clique(g)
     indep = graphs.max_independent_set(g)
     print(f"graph6 {emit_graph6(g)}")
@@ -130,54 +119,43 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _report_outcome(g: Graph, spec: ArrowSpec, outcome: SearchOutcome,
-                    args) -> int:
+def _report_outcome(outcome: SearchOutcome, args) -> int:
     print(f"verdict {outcome.verdict.value}")
     print(f"nodes {outcome.stats.nodes}")
     for cause, count in sorted(outcome.stats.prunings.items()):
         print(f"prunings.{cause} {count}")
     print(f"seconds {outcome.stats.seconds:.3f}", file=sys.stderr)
     if outcome.verdict is Verdict.FREE_COLORING:
-        if getattr(args, "witness", None):
-            _dump_json(_witness_obj(g, spec, outcome.witness), args.witness)
+        if args.witness:
+            _dump_json(_witness_obj(outcome.graph, outcome.spec, outcome.witness),
+                       args.witness)
             print(f"witness {args.witness}")
         return EXIT_FREE
     if outcome.verdict is Verdict.ARROWS:
-        if getattr(args, "evidence_out", None):
-            record = {"schema": RUN_SCHEMA, "graph6": emit_graph6(g),
-                      "label": g.label, "spec": list(spec.sizes),
-                      **outcome.to_json_obj()}
-            _dump_json(record, args.evidence_out)
+        if args.evidence_out:
+            _dump_json(outcome.to_json_obj(), args.evidence_out)
             print(f"evidence {args.evidence_out}")
         return EXIT_ARROWS
     return EXIT_BUDGET
 
 
 def cmd_arrows(args) -> int:
-    try:
-        g = resolve_graph(args.graph)
-        spec = ArrowSpec.parse(args.spec)
-        budget = _budget_from(args)
-    except (CliError, ValueError, bounds.ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = resolve_graph(args.graph)
+    spec = ArrowSpec.parse(args.spec)
+    budget = _budget_from(args)
     if args.kind == "vertices":
         outcome = arrows_vertices(g, spec, budget)
     else:
         outcome = arrows_edges(g, spec, budget,
                                neighborhood_pruning=not args.no_bound_pruning,
                                progress_every=args.progress)
-    return _report_outcome(g, spec, outcome, args)
+    return _report_outcome(outcome, args)
 
 
 def cmd_encode(args) -> int:
-    try:
-        g = resolve_graph(args.graph)
-        spec = ArrowSpec.parse(args.spec)
-        formula = cnf.encode_edge_arrowing(g, spec)
-    except (CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = resolve_graph(args.graph)
+    spec = ArrowSpec.parse(args.spec)
+    formula = cnf.encode_edge_arrowing(g, spec)
     text = cnf.emit_dimacs(formula)
     if args.output:
         Path(args.output).write_text(text)
@@ -191,15 +169,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    try:
-        g = resolve_graph(args.graph)
-        spec = ArrowSpec.parse(args.spec)
-        model_text = Path(args.model).read_text()
-        model = cnf.parse_model(model_text)
-        coloring = cnf.decode_model(g, spec, model)
-    except (CliError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = resolve_graph(args.graph)
+    spec = ArrowSpec.parse(args.spec)
+    model = cnf.parse_model(Path(args.model).read_text())
+    coloring = cnf.decode_model(g, spec, model)
     print("verdict free-coloring")
     if args.witness:
         _dump_json(_witness_obj(g, spec, coloring), args.witness)
@@ -208,18 +181,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        g = resolve_graph(args.graph)
-        spec = ArrowSpec.parse(args.spec)
-        evidence = json.loads(Path(args.evidence).read_text())
-    except (CliError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cert = bound_certificate(g, spec, args.q, evidence)
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = resolve_graph(args.graph)
+    spec = ArrowSpec.parse(args.spec)
+    evidence = json.loads(Path(args.evidence).read_text())
+    cert = bound_certificate(g, spec, args.q, evidence)
     _dump_json(cert.to_json_obj(), args.output)
     if args.output:
         print(f"certificate {args.output}")
@@ -235,9 +200,9 @@ def cmd_catalog(args) -> int:
 
 def _add_budget_flags(p):
     p.add_argument("--max-nodes", type=int, default=None,
-                   help="node budget (env FOLKMAN_MAX_NODES)")
+                   help="node budget")
     p.add_argument("--max-seconds", type=float, default=None,
-                   help="wall-time budget (env FOLKMAN_MAX_SECONDS)")
+                   help="wall-time budget")
     p.add_argument("--no-bound-pruning", action="store_true",
                    help="disable Ramsey neighborhood-bound pruning")
     p.add_argument("--progress", type=int, default=0, metavar="N",
@@ -295,7 +260,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.fn(args)
+    # The one place errors become exit codes.  ValueError covers bad input
+    # found by the package (graph, spec, CNF, certificate) and bad JSON.
+    try:
+        return args.fn(args)
+    except (CliError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception:
+        import traceback  # imported here: CLI start-up time is measured
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -71,6 +71,18 @@ def test_is_free_edge_coloring_partial_rejected():
         is_free_edge_coloring(k3, ArrowSpec((3, 3)), EdgeColoring(k3, (1, 1, 5)))
 
 
+def test_edge_coloring_from_pairs_rejects_repeated_edge():
+    k3 = complete(3)
+    c = EdgeColoring.from_pairs(k3, [(1, 2, 1), (0, 2, 2), (1, 0, 2)])
+    assert c.colors == (2, 2, 1)
+    # The same edge twice, in either orientation, is refused rather than
+    # letting the last entry win.
+    with pytest.raises(ColoringError, match="colored twice"):
+        EdgeColoring.from_pairs(k3, [(0, 1, 1), (1, 0, 2), (0, 2, 1), (1, 2, 1)])
+    with pytest.raises(ColoringError, match="colored twice"):
+        EdgeColoring.from_pairs(k3, [(0, 1, 1), (0, 1, 1), (0, 2, 1), (1, 2, 1)])
+
+
 def test_is_free_vertex_coloring():
     k4 = complete(4)
     ok, _ = is_free_vertex_coloring(k4, ArrowSpec((3, 3)),

@@ -85,25 +85,53 @@ def test_certificate_ties_records_to_instance():
         bound_certificate(complete(6), spec, 7, {"verdict": "arrows"})
     with pytest.raises(CertificateError, match="lacks spec"):
         bound_certificate(complete(6), spec, 7, {"verdict": "arrows", "graph6": g6})
+    with pytest.raises(CertificateError, match="lacks search"):
+        bound_certificate(complete(6), spec, 7, {
+            "verdict": "arrows", "graph6": g6, "spec": [3, 3]})
+    with pytest.raises(CertificateError, match="'vertices' search"):
+        bound_certificate(complete(6), spec, 7, {
+            "verdict": "arrows", "graph6": g6, "spec": [3, 3],
+            "search": "vertices"})
     with pytest.raises(CertificateError, match="different graph"):
         bound_certificate(complete(6), spec, 7, {
-            "verdict": "arrows", "graph6": emit_graph6(complete(7)), "spec": [3, 3]})
+            "verdict": "arrows", "graph6": emit_graph6(complete(7)), "spec": [3, 3],
+            "search": "edges"})
     with pytest.raises(CertificateError, match="different spec"):
         bound_certificate(complete(6), spec, 7, {
-            "verdict": "arrows", "graph6": g6, "spec": [3, 4]})
+            "verdict": "arrows", "graph6": g6, "spec": [3, 4], "search": "edges"})
     with pytest.raises(CertificateError, match="different graph"):
         bound_certificate(complete(6), spec, 7, {
             "status": "UNSAT", "graph6": emit_graph6(complete(7))})
     cert = bound_certificate(complete(6), spec, 7, {
-        "verdict": "arrows", "graph6": g6, "spec": [3, 3]})
+        "verdict": "arrows", "graph6": g6, "spec": [3, 3], "search": "edges"})
     assert cert.evidence["kind"] == "native-search"
+
+
+def test_certificate_checks_in_process_outcome_as_a_record():
+    # An in-process outcome passes the same record check as a file: an
+    # edge search on K6 proves nothing about K5 (F_e(3,3;7) = R(3,3) = 6).
+    spec = ArrowSpec((3, 3))
+    k6 = arrows_edges(complete(6), spec)
+    with pytest.raises(CertificateError, match="different graph"):
+        bound_certificate(complete(5), spec, 7, k6)
+    with pytest.raises(CertificateError, match="different spec"):
+        bound_certificate(complete(6), ArrowSpec((3, 4)), 7, k6)
+    # A vertex search that arrows is no evidence for an edge bound.
+    k5_vertices = arrows_vertices(complete(5), spec)
+    assert k5_vertices.verdict is Verdict.ARROWS
+    with pytest.raises(CertificateError, match="'vertices' search"):
+        bound_certificate(complete(5), spec, 7, k5_vertices)
+    evidence = bound_certificate(complete(6), spec, 7, k6).evidence
+    assert evidence == {"kind": "native-search", **k6.to_json_obj()}
+    assert evidence["search"] == "edges"
 
 
 def test_certificate_catalog_gate():
     spec = ArrowSpec((3, 5))
 
     def tied(g):
-        return {"verdict": "arrows", "graph6": emit_graph6(g), "spec": [3, 5]}
+        return {"verdict": "arrows", "graph6": emit_graph6(g), "spec": [3, 5],
+                "search": "edges"}
 
     lin = build_lin_graph()  # 18 vertices: open problem, below the best 21
     with pytest.raises(CertificateError, match="best published upper bound 21"):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from folkman.arrowing import ArrowInstance
 from folkman.cli import main
 from folkman.cnf import edge_variable_map
 from folkman.graphs import complete, edges, parse_graph6
@@ -91,12 +92,6 @@ def test_arrows_budget_exit_2(capsys):
 def test_usage_error_exit_3(capsys):
     assert main(["arrows", "edges", "--graph", "K6"]) == 3  # missing --spec
     assert main(["nonsense"]) == 3
-
-
-def test_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("FOLKMAN_MAX_NODES", "100")
-    code, out, _ = run(capsys, "arrows", "edges", "--graph", "K9", "--spec", "3,4")
-    assert code == 2
 
 
 def test_encode_k3(capsys):
@@ -202,3 +197,81 @@ def test_deterministic_outputs_byte_identical(capsys, tmp_path):
             "-o", str(d))
         paths.append((w.read_bytes(), d.read_bytes()))
     assert paths[0] == paths[1]
+
+
+def test_no_bound_pruning_flag(capsys):
+    code, out, _ = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
+                       "--no-bound-pruning")
+    kv = out_map(out)
+    assert code == 0
+    assert kv["verdict"] == "arrows"
+    assert kv["nodes"] == "987"
+    assert kv["prunings.clique"] == "494"
+    assert "prunings.neighborhood" not in kv
+
+
+def test_progress_flag(capsys):
+    code, out, err = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
+                         "--progress", "5")
+    assert code == 0
+    assert out_map(out)["nodes"] == "19"
+    assert any(line.startswith("progress nodes=5 ") for line in err.splitlines())
+    assert "progress" not in out
+
+
+def test_certify_refuses_vertex_search_record(capsys, tmp_path):
+    # K5 vertex-arrows (3,3) but does not edge-arrow it; F_e(3,3;7) = 6.
+    evidence = tmp_path / "r.json"
+    code, out, _ = run(capsys, "arrows", "vertices", "--graph", "K5",
+                       "--spec", "3,3", "--evidence-out", str(evidence))
+    assert code == 0 and out_map(out)["verdict"] == "arrows"
+    code, out, err = run(capsys, "certify", "--graph", "K5", "--spec", "3,3",
+                         "--q", "7", "--evidence", str(evidence))
+    assert code == 3
+    assert out == ""
+    assert "error:" in err and "'vertices' search" in err
+    assert json.loads(evidence.read_text())["search"] == "vertices"
+
+
+def test_evidence_out_is_the_run_record(capsys, tmp_path):
+    from folkman.arrowing import ArrowSpec, arrows_edges
+    evidence = tmp_path / "r.json"
+    run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
+        "--evidence-out", str(evidence))
+    record = json.loads(evidence.read_text())
+    expected = arrows_edges(complete(6), ArrowSpec((3, 3))).to_json_obj()
+    del record["stats"]["seconds"], expected["stats"]["seconds"]
+    assert record == expected
+    assert record["search"] == "edges"
+
+
+def test_unwritable_output_exits_3(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
+                         "--evidence-out", str(missing / "r.json"))
+    assert code == 3
+    assert out_map(out)["verdict"] == "arrows"
+    assert "error:" in err and "Traceback" not in err
+    code, out, err = run(capsys, "arrows", "edges", "--graph", "K5", "--spec", "3,3",
+                         "--witness", str(missing / "w.json"))
+    assert code == 3
+    assert "error:" in err
+
+
+def test_construct_bad_parameters_exit_3(capsys):
+    code, out, err = run(capsys, "construct", "circulant", "13", "a,b")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+    code, _, err = run(capsys, "construct", "circulant", "x", "1,5")
+    assert code == 3 and err.startswith("error:")
+
+
+def test_internal_error_exits_4(capsys, monkeypatch):
+    # A search that produces a non-free witness is a bug in the program,
+    # not a verdict: it must not exit 0, 1 or 2.
+    monkeypatch.setattr(ArrowInstance, "violation",
+                        lambda self, colors: (1, (0, 1, 2)))
+    code, out, err = run(capsys, "arrows", "edges", "--graph", "K5", "--spec", "3,3")
+    assert code == 4
+    assert "Traceback" in err and "non-free witness" in err

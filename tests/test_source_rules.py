@@ -1,0 +1,22 @@
+"""Rules the package source keeps, checked on its syntax tree."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "folkman"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def test_sources_found():
+    # A wrong path would leave the rule below with nothing to check.
+    assert {p.name for p in MODULES} >= {"arrowing.py", "bounds.py", "cli.py",
+                                         "cnf.py", "graphs.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # `python -O` strips asserts, so no safety check may live in one.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert statement on line(s) {lines}"
