@@ -4,7 +4,9 @@ G arrows (a_1,...,a_r) on edges iff no r-coloring of E(G) avoids a
 monochromatic a_i-clique in every color i; a coloring that does avoid them
 all is "free".  The searches here are exhaustive (a verdict of Arrows is
 only reported after the whole tree is exhausted); budgets turn into an
-explicit BudgetExhausted verdict, never a wrong answer.
+explicit BudgetExhausted verdict, never a wrong answer.  The edge search
+also propagates: an edge whose other colors would each complete a
+forbidden clique is colored at once, without a decision.
 """
 from __future__ import annotations
 
@@ -98,7 +100,12 @@ class Verdict(enum.Enum):
 
 @dataclass
 class SearchStats:
+    """`nodes`: colors tried at decisions, what a node budget bounds.
+    `propagations`: edges colored by propagation (edge search only).
+    `prunings`: tried colors cut, by cause ("clique", "neighborhood")."""
+
     nodes: int = 0
+    propagations: int = 0
     prunings: dict[str, int] = field(default_factory=dict)
     seconds: float = 0.0
 
@@ -150,6 +157,7 @@ class SearchOutcome:
             "verdict": self.verdict.value,
             "stats": {
                 "nodes": self.stats.nodes,
+                "propagations": self.stats.propagations,
                 "prunings": self.stats.prunings,
                 "seconds": round(self.stats.seconds, 3),
             },
@@ -192,7 +200,8 @@ class ArrowInstance:
     def by_edge(self) -> tuple[list[list[int]], ...]:
         """by_edge[i][e]: for each color-(i+1) clique containing edge e, the
         bitmask of its other edges.  Coloring e with color i+1 completes the
-        clique iff all of those already have that color."""
+        clique iff all of those already have that color; the search's
+        propagation looks here for cliques left one uncolored edge short."""
         out = []
         for constraints in self.cliques:
             per_edge: list[list[int]] = [[] for _ in self.edges]
@@ -352,16 +361,33 @@ def arrows_vertices(g: Graph, spec: ArrowSpec,
 
 def _edge_search(inst: ArrowInstance, budget: SearchBudget | None,
                  neighborhood_pruning: bool, progress_every: int = 0):
-    """Backtracking over edge colorings, one edge per depth in `inst.order`.
+    """Backtracking over edge colorings with unit propagation.
 
-    The recursion is unrolled into a loop over depths: the color of the edge
-    at each depth lives in `colors`, and returning to a depth resumes with
-    the next color.  Returns (verdict, colors or None, stats)."""
+    Decisions take the edges in `inst.order`, colors ascending, and skip an
+    edge that propagation has already colored.  `dom[e]` is the bitmask of
+    colors an uncolored edge e may still take (bit c for color c).  Giving
+    an edge color c visits every forbidden color-c clique through it: once
+    all edges of such a clique but one uncolored edge f have color c, c
+    leaves f's domain.  An empty domain is a conflict; a single color left
+    forces f to it at once, and forcing cascades within the same decision.
+    Every assignment, decided or forced, also passes the neighborhood test
+    when its cliques are visited.  Propagation only cuts subtrees that hold
+    no free coloring, so the first free coloring found is still the
+    lexicographically first in `inst.order`.
+
+    A frame per decision holds its depth, the color last tried there and
+    what to restore before the next color: the color masks, the colored
+    neighborhoods, the assigned-edge mask and the length of `trail`, which
+    records (edge, old domain) for each domain change that leaves a choice
+    (only possible with three or more colors).
+
+    `nodes` counts colors tried at decisions; each is either pruned, for
+    one cause, or entered.  `propagations` counts forced assignments.
+    Returns (verdict, colors or None, stats)."""
     g, spec = inst.g, inst.spec
     elist, order = inst.edges, inst.order
     by_edge = (None,) + inst.by_edge  # indexed by color
-    m = len(elist)
-    r = spec.r
+    adj, n, m, r = g.adj, g.n, len(elist), spec.r
 
     bounds = None
     if neighborhood_pruning and r == 2:
@@ -369,31 +395,40 @@ def _edge_search(inst: ArrowInstance, budget: SearchBudget | None,
     # All forbidden sizes equal: colors are interchangeable, so fixing the
     # first edge's color cuts the tree by a factor r without losing verdicts.
     first_top = 1 if len(set(spec.sizes)) == 1 else r
-    nodes = 0
-
-    colors = [0] * m
+    # A color whose forbidden clique is a single edge (a = 2) is never allowed.
+    dom = [sum(1 << c for c, a in enumerate(spec.sizes, start=1) if a > 2)] * m
+    assigned = 0
     color_mask = [0] * (r + 1)
-    nbr = [[0] * g.n for _ in range(r + 1)]
+    nbr = [0] * ((r + 1) * n)  # nbr[c * n + u]: u's neighbors by color-c edges
+    trail: list[tuple[int, int]] = []
+    frames: list[list] = []
     stats = SearchStats()
+    nodes = propagations = 0
     start = time.monotonic()
     depth = 0
     verdict = Verdict.ARROWS
-    while depth >= 0:
+    while True:
+        while depth < m and assigned >> order[depth] & 1:
+            depth += 1
         if depth == m:
             verdict = Verdict.FREE_COLORING
             break
-        eid = order[depth]
-        u, v = elist[eid]
-        bit = 1 << eid
-        c = colors[eid]
-        if c:  # back from the subtree below color c: undo it
-            nbr[c][u] &= ~(1 << v)
-            nbr[c][v] &= ~(1 << u)
-            color_mask[c] &= ~bit
-            colors[eid] = 0
-        top = first_top if depth == 0 else r
-        while c < top:
+        frames.append([depth, 0, tuple(color_mask), tuple(nbr), assigned, len(trail)])
+        while frames:  # try the next color at the innermost decision
+            frame = frames[-1]
+            depth, c, saved_masks, saved_nbr, saved_assigned, mark = frame
+            if c == (first_top if depth == 0 else r):
+                frames.pop()  # the frame below restores the state
+                continue
+            if c:  # undo what the previous color assigned
+                color_mask[:] = saved_masks
+                nbr[:] = saved_nbr
+                assigned = saved_assigned
+                while len(trail) > mark:
+                    e, old = trail.pop()
+                    dom[e] = old
             c += 1
+            frame[1] = c
             nodes += 1
             if progress_every and nodes % progress_every == 0:
                 print(f"progress nodes={nodes} depth={depth} "
@@ -401,43 +436,87 @@ def _edge_search(inst: ArrowInstance, budget: SearchBudget | None,
             if budget is not None and budget.exceeded(nodes, start):
                 verdict = Verdict.BUDGET_EXHAUSTED
                 break
-            have = color_mask[c]
-            if any(rest & have == rest for rest in by_edge[c][eid]):
+            eid = order[depth]
+            if not dom[eid] >> c & 1:
                 stats.bump("clique")
                 continue
-            if bounds is not None:
-                b = bounds[c - 1]
-                nu = nbr[c][u] | 1 << v
-                nv = nbr[c][v] | 1 << u
-                if ((nu.bit_count() > b and has_clique(g, nu, b + 1))
-                        or (nv.bit_count() > b and has_clique(g, nv, b + 1))):
-                    stats.bump("neighborhood")
-                    continue
-            colors[eid] = c
-            color_mask[c] = have | bit
-            nbr[c][u] |= 1 << v
-            nbr[c][v] |= 1 << u
+            assigned |= 1 << eid
+            color_mask[c] |= 1 << eid
+            cause = None
+            queue = [(eid, c)]
+            for f, d in queue:  # grows while it is read
+                u, v = elist[f]
+                if bounds is not None:
+                    # Each earlier assignment passed this test, so a new
+                    # (b+1)-clique in u's color-d neighborhood contains v.
+                    b = bounds[d - 1]
+                    x = nbr[d * n + u] & adj[v]
+                    y = nbr[d * n + v] & adj[u]
+                    if ((x.bit_count() >= b and has_clique(g, x, b))
+                            or (y.bit_count() >= b and has_clique(g, y, b))):
+                        cause = "neighborhood"
+                        break
+                nbr[d * n + u] |= 1 << v
+                nbr[d * n + v] |= 1 << u
+                other = assigned & ~color_mask[d]  # edges of another color
+                free = ~assigned
+                dbit = 1 << d
+                for rest in by_edge[d][f]:
+                    if rest & other:
+                        continue
+                    miss = rest & free  # the clique's edges not colored yet
+                    if miss & (miss - 1):
+                        continue
+                    if not miss:  # all colored d: two forced edges closed it
+                        cause = "clique"
+                        break
+                    h = miss.bit_length() - 1
+                    left = dom[h] & ~dbit
+                    if left & (left - 1):  # a choice is left (r >= 3)
+                        if left != dom[h]:
+                            trail.append((h, dom[h]))
+                            dom[h] = left
+                        continue
+                    if not left:
+                        cause = "clique"
+                        break
+                    k = left.bit_length() - 1
+                    assigned |= miss
+                    color_mask[k] |= miss
+                    other |= miss
+                    propagations += 1
+                    queue.append((h, k))
+                if cause:
+                    break
+            if cause:
+                stats.bump(cause)
+                continue
             depth += 1
             break
-        else:  # every color at this depth tried: backtrack
-            depth -= 1
-        if verdict is Verdict.BUDGET_EXHAUSTED:
-            break
+        if not frames or verdict is Verdict.BUDGET_EXHAUSTED:
+            break  # every decision exhausted, or out of budget
     stats.nodes = nodes
+    stats.propagations = propagations
     stats.seconds = time.monotonic() - start
-    return verdict, tuple(colors) if verdict is Verdict.FREE_COLORING else None, stats
+    if verdict is not Verdict.FREE_COLORING:
+        return verdict, None, stats
+    return verdict, tuple(next(c for c in range(1, r + 1) if color_mask[c] >> e & 1)
+                          for e in range(m)), stats
 
 
 def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
                  neighborhood_pruning: bool = True,
                  progress_every: int = 0) -> SearchOutcome:
-    """Exhaustive pruned backtracking over edge colorings.
+    """Exhaustive pruned backtracking over edge colorings, with unit
+    propagation.
 
-    Assigns one edge per node in a static order, pruning any branch that
-    completes a monochromatic forbidden clique and (for 2-color specs) any
-    branch whose forced same-color neighborhood already contains a clique
-    beyond the Ramsey-derived cap.  Runs in one process and is fully
-    deterministic.
+    Decides the uncolored edges one at a time in a static order, colors
+    ascending.  An edge left with a single color that completes no
+    monochromatic forbidden clique is forced to it without a decision.  A
+    branch is pruned when it completes such a clique or (for 2-color specs)
+    when a vertex's same-color neighborhood contains a clique beyond the
+    Ramsey-derived cap.  A free coloring returned is the lexicographically
+    first in that order.  Runs in one process and is fully deterministic.
     """
     inst = ArrowInstance(g, spec)
     verdict, colors, stats = _edge_search(inst, budget, neighborhood_pruning,

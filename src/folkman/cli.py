@@ -122,6 +122,7 @@ def cmd_construct(args) -> int:
 def _report_outcome(outcome: SearchOutcome, args) -> int:
     print(f"verdict {outcome.verdict.value}")
     print(f"nodes {outcome.stats.nodes}")
+    print(f"propagations {outcome.stats.propagations}")
     for cause, count in sorted(outcome.stats.prunings.items()):
         print(f"prunings.{cause} {count}")
     print(f"seconds {outcome.stats.seconds:.3f}", file=sys.stderr)
@@ -144,6 +145,11 @@ def cmd_arrows(args) -> int:
     spec = ArrowSpec.parse(args.spec)
     budget = _budget_from(args)
     if args.kind == "vertices":
+        flags = [flag for flag, on in (("--progress", args.progress),
+                                       ("--no-bound-pruning", args.no_bound_pruning))
+                 if on]
+        if flags:
+            raise CliError(f"{' and '.join(flags)}: edge searches only")
         outcome = arrows_vertices(g, spec, budget)
     else:
         outcome = arrows_edges(g, spec, budget,
@@ -204,9 +210,9 @@ def _add_budget_flags(p):
     p.add_argument("--max-seconds", type=float, default=None,
                    help="wall-time budget")
     p.add_argument("--no-bound-pruning", action="store_true",
-                   help="disable Ramsey neighborhood-bound pruning")
+                   help="disable Ramsey neighborhood-bound pruning (edge searches)")
     p.add_argument("--progress", type=int, default=0, metavar="N",
-                   help="print progress to stderr every N nodes")
+                   help="print progress to stderr every N nodes (edge searches)")
     p.add_argument("--witness", help="path for the free-coloring witness JSON")
 
 

@@ -5,6 +5,7 @@ enumeration with numpy.  Nothing here shares code paths with the package's
 search or clique machinery.
 """
 from itertools import combinations, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -86,6 +87,25 @@ def brute_arrows_edges(g: Graph, sizes) -> tuple[bool, dict | None]:
         if brute_is_free_edge_coloring(g, sizes, coloring):
             return False, coloring
     return True, None
+
+
+def brute_first_free_coloring(g: Graph, sizes, order) -> dict | None:
+    """The first free coloring, dict (u,v) -> color, in the lexicographic
+    order of the color sequences over the edge list `order` (colors
+    ascending), or None if G arrows `sizes`.  Plain product enumeration."""
+    position = {e: i for i, e in enumerate(order)}
+    # One (getter, value) per forbidden clique: the clique is monochromatic
+    # in `color` iff reading its edges' colors gives what reading them off
+    # the all-`color` sequence gives.
+    forbidden = []
+    for color, a in enumerate(sizes, start=1):
+        for vs in brute_cliques(g, a):
+            get = itemgetter(*(position[p] for p in combinations(vs, 2)))
+            forbidden.append((get, get((color,) * len(order))))
+    for colors in product(range(1, len(sizes) + 1), repeat=len(order)):
+        if not any(get(colors) == value for get, value in forbidden):
+            return dict(zip(order, colors))
+    return None
 
 
 def brute_arrows_vertices(g: Graph, sizes) -> bool:

@@ -14,7 +14,8 @@ from folkman.arrowing import (ArrowInstance, ArrowSpec, AuditError,
 from folkman.graphs import Graph, complete, cycle, edges, join
 from folkman.bounds import build_q, build_theorem_graph
 from oracles import (brute_arrows_edges, brute_arrows_edges_2color,
-                     brute_arrows_vertices, random_graph)
+                     brute_arrows_vertices, brute_first_free_coloring,
+                     random_graph)
 
 
 def pentagon_pentagram(k5: Graph) -> EdgeColoring:
@@ -131,7 +132,9 @@ def test_arrows_edges_thresholds_33():
 
 def test_arrows_edges_thresholds_34():
     assert arrows_edges(complete(8), ArrowSpec((3, 4))).verdict is Verdict.FREE_COLORING
-    assert arrows_edges(complete(9), ArrowSpec((3, 4))).verdict is Verdict.ARROWS
+    out = arrows_edges(complete(9), ArrowSpec((3, 4)))
+    assert out.verdict is Verdict.ARROWS
+    assert (out.stats.nodes, out.stats.propagations) == (21_458, 51_403)
 
 
 def test_arrows_edges_witness_sound():
@@ -163,6 +166,25 @@ def test_arrows_edges_vs_bruteforce_random():
             got = arrows_edges(g, spec).verdict is Verdict.ARROWS
             want, _ = brute_arrows_edges_2color(g, spec.sizes)
             assert got == want
+
+
+def test_arrows_edges_witness_is_first_free_coloring():
+    # The search returns the lexicographically first free coloring in its
+    # edge order, colors ascending: pruning and propagation may only cut
+    # subtrees that hold no free coloring.
+    rng = random.Random(41)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(3, 7), p=0.6, max_edges=12)
+        for sizes in ((2, 3), (3, 3), (3, 4), (3, 3, 3)):
+            inst = ArrowInstance(g, ArrowSpec(sizes))
+            want = brute_first_free_coloring(g, sizes,
+                                             [inst.edges[e] for e in inst.order])
+            for pruning in (True, False):
+                out = arrows_edges(g, ArrowSpec(sizes), neighborhood_pruning=pruning)
+                assert (out.verdict is Verdict.ARROWS) == (want is None)
+                got = None if out.witness is None else {
+                    (u, v): c for u, v, c in out.witness.to_json_obj()}
+                assert got == want, (edges(g), sizes, pruning)
 
 
 def test_arrows_edges_three_colors():
@@ -221,15 +243,17 @@ def test_deterministic_witness_reproducible():
 
 
 def test_arrows_edges_search_pins():
-    # Node and pruning counts and the witness pin the search itself: edge
-    # order, pruning tests and the first-edge symmetry cut.
+    # Node, propagation and pruning counts and the witness pin the search
+    # itself: edge order, propagation, pruning tests and the first-edge
+    # symmetry cut.
     out = arrows_edges(complete(6), ArrowSpec((3, 3)))
     assert out.verdict is Verdict.ARROWS
     assert (out.stats.nodes, out.stats.prunings) == (19, {"neighborhood": 10})
+    assert out.stats.propagations == 6
     out = arrows_edges(complete(8), ArrowSpec((3, 4)))
     assert out.verdict is Verdict.FREE_COLORING
-    assert out.stats.nodes == 120
-    assert out.stats.prunings == {"clique": 34, "neighborhood": 20}
+    assert (out.stats.nodes, out.stats.propagations) == (31, 17)
+    assert out.stats.prunings == {"clique": 2, "neighborhood": 9}
     digest = hashlib.sha256(json.dumps(out.witness.to_json_obj()).encode())
     assert digest.hexdigest() == (
         "0cfb1e2e88f2a4f386dd39cc8cb552cbb7dcf62e90f7c6cb03c9a4d8f7b82ad3")
@@ -238,12 +262,13 @@ def test_arrows_edges_search_pins():
     c5c5 = join(cycle(5), cycle(5))
     out = arrows_edges(c5c5, ArrowSpec((3, 3)))
     assert out.verdict is Verdict.FREE_COLORING
-    assert (out.stats.nodes, out.stats.prunings) == (51, {"clique": 16})
+    assert (out.stats.nodes, out.stats.prunings) == (19, {})
+    assert out.stats.propagations == 16
     out = arrows_edges(join(complete(1), c5c5), ArrowSpec((3, 3)),
                        budget=SearchBudget(max_nodes=10_000))
     assert out.verdict is Verdict.ARROWS
-    assert out.stats.nodes == 129
-    assert out.stats.prunings == {"clique": 15, "neighborhood": 50}
+    assert (out.stats.nodes, out.stats.propagations) == (93, 77)
+    assert out.stats.prunings == {"neighborhood": 47}
 
 
 def test_arrows_edges_deep_search_no_recursion_limit():

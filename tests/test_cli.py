@@ -205,8 +205,8 @@ def test_no_bound_pruning_flag(capsys):
     kv = out_map(out)
     assert code == 0
     assert kv["verdict"] == "arrows"
-    assert kv["nodes"] == "987"
-    assert kv["prunings.clique"] == "494"
+    assert kv["nodes"] == "19"
+    assert kv["prunings.clique"] == "10"
     assert "prunings.neighborhood" not in kv
 
 
@@ -275,3 +275,27 @@ def test_internal_error_exits_4(capsys, monkeypatch):
     code, out, err = run(capsys, "arrows", "edges", "--graph", "K5", "--spec", "3,3")
     assert code == 4
     assert "Traceback" in err and "non-free witness" in err
+
+
+def test_propagations_reported(capsys, tmp_path):
+    evidence = tmp_path / "r.json"
+    code, out, _ = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
+                       "--evidence-out", str(evidence))
+    kv = out_map(out)
+    assert code == 0
+    assert (kv["nodes"], kv["propagations"]) == ("19", "6")
+    stats = json.loads(evidence.read_text())["stats"]
+    assert (stats["nodes"], stats["propagations"]) == (19, 6)
+
+
+@pytest.mark.parametrize("flags", [["--progress", "1"], ["--no-bound-pruning"],
+                                   ["--progress", "1", "--no-bound-pruning"]])
+def test_vertex_search_refuses_edge_only_flags(capsys, flags):
+    # The vertex search has no progress report and no neighborhood pruning,
+    # so these flags are refused there instead of being silently ignored.
+    code, out, err = run(capsys, "arrows", "vertices", "--graph", "q",
+                         "--spec", "3,4", *flags)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.rstrip().endswith("edge searches only")
+    assert "progress nodes" not in err

@@ -20,3 +20,19 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statement on line(s) {lines}"
+
+
+def test_oracles_import_only_graph_from_package():
+    # The oracles check the package, so they share no code with it beyond
+    # the Graph they are handed.
+    path = Path(__file__).resolve().parent / "oracles.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names
+                         if alias.name.split(".")[0] == "folkman"}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "folkman"):
+            imported |= {(node.module, alias.name) for alias in node.names}
+    assert {name for _, name in imported} <= {"Graph"}, imported
