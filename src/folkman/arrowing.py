@@ -112,6 +112,10 @@ class SearchStats:
     def bump(self, cause: str):
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
 
+    def to_json_obj(self) -> dict:
+        return {"nodes": self.nodes, "propagations": self.propagations,
+                "prunings": self.prunings, "seconds": round(self.seconds, 3)}
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -146,8 +150,8 @@ class SearchOutcome:
     search: str
 
     def to_json_obj(self) -> dict:
-        """The run record: what `arrows --evidence-out` writes and what
-        `bounds.bound_certificate` checks, for in-process outcomes too."""
+        """The run record `arrows --evidence-out` writes: a log of the run.
+        `bounds.bound_certificate` does not accept it as evidence."""
         return {
             "schema": "folkman-arrows-run/2",
             "graph6": emit_graph6(self.graph),
@@ -155,12 +159,7 @@ class SearchOutcome:
             "spec": list(self.spec.sizes),
             "search": self.search,
             "verdict": self.verdict.value,
-            "stats": {
-                "nodes": self.stats.nodes,
-                "propagations": self.stats.propagations,
-                "prunings": self.stats.prunings,
-                "seconds": round(self.stats.seconds, 3),
-            },
+            "stats": self.stats.to_json_obj(),
         }
 
 
@@ -526,78 +525,3 @@ def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
     if inst.violation(colors) is not None:
         raise RuntimeError("search produced a non-free witness")
     return SearchOutcome(verdict, EdgeColoring(g, colors), stats, g, spec, "edges")
-
-
-# --- per-vertex audit of a claimed free coloring ------------------------------
-
-class AuditError(ValueError):
-    """Input to the audit is not a free coloring or not a recognized join."""
-
-
-def audit_free_coloring(g: Graph, spec: ArrowSpec, c: EdgeColoring,
-                        kernel) -> dict:
-    """Replay per-vertex clique bounds on a free coloring of join(K_m, H).
-
-    For each kernel vertex v and color i, A_i(v) is the set of H-vertices
-    reached from v by a color-i edge.  Reports cl(G[A_1(v)]), cl(G[A_2(v)])
-    and whether the neighborhood caps, the additive cap
-    b_1 + b_2 - (|kernel| - 1), and the extremal condition
-    max_i cl(G[A_i(v)]) = cl(H) hold.
-    """
-    if spec.r != 2:
-        raise AuditError("audit is defined for 2-color specs")
-    kernel = sorted(set(kernel))
-    full = (1 << g.n) - 1
-    for v in kernel:
-        if g.adj[v] != full & ~(1 << v):
-            raise AuditError(f"kernel vertex {v} is not adjacent to all others; "
-                             "graph is not a recognized join")
-    ok, violation = is_free_edge_coloring(g, spec, c)
-    if not ok:
-        raise AuditError(f"coloring not free: {violation[1]} monochromatic "
-                         f"in color {violation[0]}")
-
-    rest_mask = full & ~mask_of(kernel)
-    col = {e: k for e, k in zip(edges(g), c.colors)}
-    bounds = neighborhood_clique_bounds(spec)
-    rest = [v for v in range(g.n) if rest_mask >> v & 1]
-    if not rest:
-        raise AuditError("kernel covers the whole graph; nothing to audit against")
-    from .graphs import induced
-    h_clique = len(max_clique(induced(g, rest)))
-    per_vertex = {}
-    for v in kernel:
-        n_col = [0, 0, 0]
-        for u in range(g.n):
-            if u == v:
-                continue
-            e = (u, v) if u < v else (v, u)
-            n_col[col[e]] |= 1 << u
-        a_sets = [n_col[1] & rest_mask, n_col[2] & rest_mask]
-        cls = []
-        for am in a_sets:
-            k = 0
-            while has_clique(g, am, k + 1):
-                k += 1
-            cls.append(k)
-        entry = {"a1_clique_number": cls[0], "a2_clique_number": cls[1]}
-        if bounds is not None:
-            nb_ok = True
-            for i, b in enumerate(bounds, start=1):
-                if has_clique(g, n_col[i], b + 1):
-                    nb_ok = False
-            entry["neighborhood_bounds_ok"] = nb_ok
-            entry["sum_bound"] = bounds[0] + bounds[1] - (len(kernel) - 1)
-            entry["sum_bound_ok"] = cls[0] + cls[1] <= entry["sum_bound"]
-        entry["extremal_ok"] = max(cls) == h_clique
-        per_vertex[v] = entry
-    return {
-        "kernel": kernel,
-        "rest_clique_number": h_clique,
-        "bounds": bounds,
-        "per_vertex": per_vertex,
-        "all_neighborhood_bounds_ok": all(
-            e.get("neighborhood_bounds_ok", True) for e in per_vertex.values()),
-        "all_sum_bounds_ok": all(
-            e.get("sum_bound_ok", True) for e in per_vertex.values()),
-    }

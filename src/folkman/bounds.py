@@ -2,13 +2,15 @@
 
 An upper bound F_e(a_1,...,a_r; q) <= n is certified by exhibiting an
 n-vertex graph with clique number below q together with conclusive evidence
-that it edge-arrows (a_1,...,a_r): either an exhausted native search or an
-external solver's UNSAT result on the emitted CNF.
+that it edge-arrows (a_1,...,a_r): either an exhausted native edge search on
+that graph, or an external solver's UNSAT result whose DIMACS hash matches a
+fresh encoding of it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from . import cnf
 from .graphs import (Graph, circulant, complement, complete, cycle,
                      emit_graph6, join, max_clique)
 from .arrowing import ArrowSpec, SearchOutcome, Verdict, arrows_vertices
@@ -118,7 +120,8 @@ def known_numbers() -> list[KnownValueEntry]:
 
 
 def lookup_known(sizes, q: int) -> KnownValueEntry | None:
-    sizes = tuple(sizes)
+    # F_e is symmetric in the a_i; catalog entries list them ascending.
+    sizes = tuple(sorted(sizes))
     for entry in _KNOWN:
         if entry.sizes == sizes and entry.q == q:
             return entry
@@ -152,39 +155,63 @@ class BoundCertificate:
         }
 
 
-def _evidence_record(evidence, graph6: str, spec: ArrowSpec) -> dict:
+def check_bound_instance(g: Graph, spec: ArrowSpec, q: int) -> int:
+    """Refuse (g, spec, q) unless F_e(spec; q) <= |V(g)| could be certified
+    from evidence that g edge-arrows spec; return g's clique number.
+
+    F_e(spec; q) needs q > max(spec); g needs clique number below q,
+    recomputed here, never trusted from the caller; and the bound may not
+    fall below the catalog's best published upper bound for (spec, q).
+    """
+    if q <= max(spec.sizes):
+        raise CertificateError(
+            f"F_e({spec};{q}) is undefined: q must exceed every clique size")
+    cl = len(max_clique(g))
+    if cl >= q:
+        raise CertificateError(f"clique number {cl} >= q={q}: graph ineligible")
+    _check_catalog(spec, q, g.n)
+    return cl
+
+
+def _evidence_record(g: Graph, spec: ArrowSpec, evidence) -> dict:
+    if isinstance(evidence, SearchOutcome):
+        if evidence.graph != g:
+            raise CertificateError("search outcome is for a different graph")
+        if evidence.spec != spec:
+            raise CertificateError("search outcome is for a different spec")
+        if evidence.search != "edges":
+            raise CertificateError(
+                f"search outcome is from a {evidence.search!r} search; an edge "
+                "Folkman bound needs an 'edges' search")
+        if evidence.verdict is not Verdict.ARROWS:
+            raise CertificateError(
+                f"search outcome is inconclusive: {evidence.verdict.value}")
+        return {"kind": "native-search", "checked": True,
+                "stats": evidence.stats.to_json_obj()}
     if not isinstance(evidence, dict):
         raise CertificateError(f"unsupported evidence type {type(evidence).__name__}")
     status = evidence.get("status")
-    if isinstance(status, str) and status.upper() == "UNSAT":
-        kind = "solver-unsat"
-    elif evidence.get("verdict") == Verdict.ARROWS.value:
-        kind = "native-search"
-        # A run record says nothing unless it names the instance it ran on.
-        missing = [k for k in ("graph6", "spec", "search") if k not in evidence]
-        if missing:
-            raise CertificateError(
-                f"native-search record lacks {', '.join(missing)}: it is not "
-                "tied to a graph, spec and search")
-        if evidence["search"] != "edges":
-            raise CertificateError(
-                f"native-search record is from a {evidence['search']!r} search; "
-                "an edge Folkman bound needs an 'edges' search")
-    else:
+    if not (isinstance(status, str) and status.upper() == "UNSAT"):
         raise CertificateError(
-            "evidence record is neither a solver UNSAT result nor an "
-            f"arrows search run: {status or evidence.get('verdict')!r}")
-    if evidence.get("graph6", graph6) != graph6:
-        raise CertificateError("evidence record is for a different graph")
-    if evidence.get("spec", list(spec.sizes)) != list(spec.sizes):
-        raise CertificateError("evidence record is for a different spec")
-    return {"kind": kind, **evidence}
+            f"evidence is not a solver UNSAT record (status {status!r}); an "
+            "arrows run record is a log, not evidence")
+    try:
+        sha = cnf.dimacs_sha256(cnf.emit_dimacs(cnf.encode_edge_arrowing(g, spec)))
+    except cnf.CnfError as exc:
+        raise CertificateError(f"solver record cannot be checked: {exc}") from exc
+    if evidence.get("dimacs_sha256") != sha:
+        raise CertificateError(
+            f"solver record's dimacs_sha256 {evidence.get('dimacs_sha256')!r} is "
+            f"not {sha}, the sha256 of `folkman encode` for this graph and spec")
+    # UNSAT is still the solver's word: no proof of it is checked here.
+    return {**evidence, "kind": "solver-unsat", "checked": False,
+            "dimacs_sha256": sha}
 
 
 def _check_catalog(spec: ArrowSpec, q: int, n: int):
-    # No evidence kind accepted here is checked independently yet, so a
-    # bound below the best published upper bound is refused along with one
-    # that contradicts a published lower bound.
+    # A bound below the best published upper bound is refused along with
+    # one that contradicts a published lower bound: a new bound should not
+    # rest on evidence no independent checker has seen.
     entry = lookup_known(spec.sizes, q)
     if entry is None:
         return
@@ -195,35 +222,27 @@ def _check_catalog(spec: ArrowSpec, q: int, n: int):
     if n < entry.high:
         raise CertificateError(
             f"F_e({spec};{q}) <= {n} would beat the best published upper "
-            f"bound {entry.high}; no evidence kind accepted here is "
-            "independently checked yet")
+            f"bound {entry.high}; a new bound is not certified here")
 
 
 def bound_certificate(g: Graph, spec: ArrowSpec, q: int,
                       evidence) -> BoundCertificate:
     """Build the machine-checkable record for F_e(spec; q) <= |V(g)|.
 
-    The clique number is recomputed here, never trusted from the caller, and
-    the evidence must be conclusive: an arrows run record of an edge search
-    on this graph and spec, or an external solver UNSAT record (which, if it
-    names a graph6 or spec, must name these).  An in-process SearchOutcome
-    is first turned into its run record, so it passes the same check.  A
-    bound below the catalog's best published upper bound for (spec, q) is
-    refused.
+    `check_bound_instance` must pass, and the evidence must be one of:
+    an in-process SearchOutcome of an edge search on exactly this graph and
+    spec with verdict ARROWS (marked "checked": true), or an external
+    solver's record whose status is UNSAT and whose `dimacs_sha256` is that
+    of a fresh `cnf.encode_edge_arrowing` of this graph and spec (marked
+    "checked": false, since the UNSAT itself is not checked).
     """
-    graph6 = emit_graph6(g)
-    if isinstance(evidence, SearchOutcome):
-        evidence = evidence.to_json_obj()
-    record = _evidence_record(evidence, graph6, spec)
-    cl = len(max_clique(g))
-    if cl >= q:
-        raise CertificateError(f"clique number {cl} >= q={q}: graph ineligible")
-    _check_catalog(spec, q, g.n)
+    cl = check_bound_instance(g, spec, q)
+    record = _evidence_record(g, spec, evidence)
     bound = f"F_e({spec};{q}) <= {g.n}"
     return BoundCertificate(
         schema=CERTIFICATE_SCHEMA,
         label=g.label or "unlabeled",
-        graph6=graph6,
+        graph6=emit_graph6(g),
         vertex_count=g.n,
         sizes=spec.sizes,
         q=q,

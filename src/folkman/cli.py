@@ -7,6 +7,12 @@ message goes to standard error as `error: ...`) and 4 on an internal error
 (the traceback goes to standard error), so a failure never reads as a
 verdict.  Standard output is machine-parseable key/value lines; progress
 goes to standard error.
+
+`certify` prints a bound only from evidence it checks itself: with no
+`--evidence` it runs the edge search on the graph and spec; with
+`--evidence` the file must be a solver UNSAT record whose `dimacs_sha256`
+matches a fresh `encode` of that graph and spec.  `arrows --evidence-out`
+files are run logs, not evidence.
 """
 from __future__ import annotations
 
@@ -189,7 +195,11 @@ def cmd_decode(args) -> int:
 def cmd_certify(args) -> int:
     g = resolve_graph(args.graph)
     spec = ArrowSpec.parse(args.spec)
-    evidence = json.loads(Path(args.evidence).read_text())
+    if args.evidence:
+        evidence = json.loads(Path(args.evidence).read_text())
+    else:
+        bounds.check_bound_instance(g, spec, args.q)  # refuse before searching
+        evidence = arrows_edges(g, spec)
     cert = bound_certificate(g, spec, args.q, evidence)
     _dump_json(cert.to_json_obj(), args.output)
     if args.output:
@@ -250,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--evidence", required=True,
-                   help="arrows run record or solver UNSAT record (JSON)")
+    p.add_argument("--evidence",
+                   help="solver UNSAT record (JSON) with the encoded CNF's "
+                        "dimacs_sha256; without it, certify runs the edge search")
     p.add_argument("-o", "--output", help="certificate path")
     p.set_defaults(fn=cmd_certify)
 

@@ -62,9 +62,7 @@ def encode_edge_arrowing(g: Graph, spec: ArrowSpec) -> CnfFormula:
         "satisfiable iff a free edge coloring exists",
     ]
     comments += [f"edge {i} {u} {v}" for i, (u, v) in enumerate(inst.edges, start=1)]
-    f = CnfFormula(len(inst.edges), clauses, comments)
-    f.validate()
-    return f
+    return CnfFormula(len(inst.edges), clauses, comments)
 
 
 def emit_dimacs(f: CnfFormula) -> str:

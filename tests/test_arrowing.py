@@ -5,10 +5,9 @@ import random
 import pytest
 
 from folkman import arrowing
-from folkman.arrowing import (ArrowInstance, ArrowSpec, AuditError,
-                              ColoringError, EdgeColoring, SearchBudget,
-                              Verdict, VertexColoring, arrows_edges,
-                              arrows_vertices, audit_free_coloring,
+from folkman.arrowing import (ArrowInstance, ArrowSpec, ColoringError,
+                              EdgeColoring, SearchBudget, Verdict,
+                              VertexColoring, arrows_edges, arrows_vertices,
                               is_free_edge_coloring, is_free_vertex_coloring,
                               ramsey_known, neighborhood_clique_bounds)
 from folkman.graphs import Graph, complete, cycle, edges, join
@@ -344,35 +343,6 @@ def test_bounds_hold_on_free_colorings_of_k8():
         for color, cap in ((1, b1), (2, b2)):
             # in K8 every subset is a clique, so the cap bounds the degree
             assert len(_same_color_neighbors(g, out.witness, v, color)) <= cap
-
-
-# --- audit ----------------------------------------------------------------------
-
-def test_audit_on_small_join_analog():
-    g = join(complete(2), cycle(5)).relabel("K2+C5")
-    spec = ArrowSpec((3, 3))
-    out = arrows_edges(g, spec)
-    assert out.verdict is Verdict.FREE_COLORING
-    report = audit_free_coloring(g, spec, out.witness, kernel=[0, 1])
-    assert report["all_neighborhood_bounds_ok"]
-    assert set(report["per_vertex"]) == {0, 1}
-    assert report["rest_clique_number"] == 2
-
-
-def test_audit_rejects_non_free():
-    g = join(complete(2), cycle(5))
-    spec = ArrowSpec((3, 3))
-    all_blue = EdgeColoring(g, tuple(1 for _ in edges(g)))
-    with pytest.raises(AuditError, match="not free"):
-        audit_free_coloring(g, spec, all_blue, kernel=[0, 1])
-
-
-def test_audit_rejects_non_join_kernel():
-    g = cycle(5)
-    spec = ArrowSpec((3, 3))
-    c = EdgeColoring(g, tuple(1 if i % 2 else 2 for i in range(5)))
-    with pytest.raises(AuditError, match="join"):
-        audit_free_coloring(g, spec, c, kernel=[0])
 
 
 def test_theorem_graph_random_colorings_never_audit_clean():

@@ -3,10 +3,13 @@ import pytest
 from folkman.arrowing import (ArrowSpec, SearchBudget, Verdict, arrows_edges,
                               arrows_vertices)
 from folkman.bounds import (CertificateError, bound_certificate, build_lin_graph,
-                            build_q, build_theorem_graph, known_numbers,
-                            lookup_known)
-from folkman.graphs import (clique_number, complete, emit_graph6,
+                            build_q, build_theorem_graph, check_bound_instance,
+                            known_numbers, lookup_known)
+from folkman.cnf import dimacs_sha256, emit_dimacs, encode_edge_arrowing
+from folkman.graphs import (clique_number, complete, cycle, emit_graph6,
                             independence_number, parse_graph6)
+
+THEOREM_SHA256 = "1db983c4daf1e0fb098631f12433725bbed4c16f61082756f81ea39502e98325"
 
 
 def test_build_q_gate():
@@ -35,6 +38,12 @@ def test_lin_graph():
     assert clique_number(g) == 12
 
 
+def solver_record(g, spec, **keys):
+    """An UNSAT record carrying the sha256 of `folkman encode` on (g, spec)."""
+    text = emit_dimacs(encode_edge_arrowing(g, spec))
+    return {"status": "UNSAT", "dimacs_sha256": dimacs_sha256(text), **keys}
+
+
 def test_certificate_k6():
     spec = ArrowSpec((3, 3))
     outcome = arrows_edges(complete(6), spec)
@@ -46,6 +55,8 @@ def test_certificate_k6():
     obj = cert.to_json_obj()
     assert obj["schema"] == "folkman-certificate/1"
     assert obj["evidence"]["kind"] == "native-search"
+    assert obj["evidence"]["checked"] is True
+    assert obj["evidence"]["stats"]["nodes"] == 19
 
 
 def test_certificate_rejects_ineligible_clique():
@@ -72,44 +83,36 @@ def test_certificate_rejects_budget_exhausted_evidence():
 
 
 def test_certificate_accepts_solver_unsat_record():
-    record = {"status": "UNSAT", "solver": "some-external-solver",
-              "dimacs_sha256": "0" * 64}
-    cert = bound_certificate(complete(6), ArrowSpec((3, 3)), 7, record)
-    assert cert.evidence["kind"] == "solver-unsat"
+    spec = ArrowSpec((3, 3))
+    record = solver_record(complete(6), spec, solver="some-external-solver")
+    cert = bound_certificate(complete(6), spec, 7, record)
+    assert cert.evidence == {**record, "kind": "solver-unsat", "checked": False}
 
 
 def test_certificate_ties_records_to_instance():
+    # Only a solver record counts, and only through the sha256 of a fresh
+    # encoding of this graph and spec; arrows run records are logs.
     spec = ArrowSpec((3, 3))
-    g6 = emit_graph6(complete(6))
-    with pytest.raises(CertificateError, match="lacks graph6, spec"):
-        bound_certificate(complete(6), spec, 7, {"verdict": "arrows"})
-    with pytest.raises(CertificateError, match="lacks spec"):
-        bound_certificate(complete(6), spec, 7, {"verdict": "arrows", "graph6": g6})
-    with pytest.raises(CertificateError, match="lacks search"):
-        bound_certificate(complete(6), spec, 7, {
-            "verdict": "arrows", "graph6": g6, "spec": [3, 3]})
-    with pytest.raises(CertificateError, match="'vertices' search"):
-        bound_certificate(complete(6), spec, 7, {
-            "verdict": "arrows", "graph6": g6, "spec": [3, 3],
-            "search": "vertices"})
-    with pytest.raises(CertificateError, match="different graph"):
-        bound_certificate(complete(6), spec, 7, {
-            "verdict": "arrows", "graph6": emit_graph6(complete(7)), "spec": [3, 3],
-            "search": "edges"})
-    with pytest.raises(CertificateError, match="different spec"):
-        bound_certificate(complete(6), spec, 7, {
-            "verdict": "arrows", "graph6": g6, "spec": [3, 4], "search": "edges"})
-    with pytest.raises(CertificateError, match="different graph"):
-        bound_certificate(complete(6), spec, 7, {
-            "status": "UNSAT", "graph6": emit_graph6(complete(7))})
-    cert = bound_certificate(complete(6), spec, 7, {
-        "verdict": "arrows", "graph6": g6, "spec": [3, 3], "search": "edges"})
-    assert cert.evidence["kind"] == "native-search"
+    k6 = complete(6)
+    run_record = arrows_edges(k6, spec).to_json_obj()
+    with pytest.raises(CertificateError, match="not a solver UNSAT record"):
+        bound_certificate(k6, spec, 7, run_record)
+    with pytest.raises(CertificateError, match="not a solver UNSAT record"):
+        bound_certificate(k6, spec, 7, {"verdict": "arrows"})
+    for record in ({"status": "UNSAT"},
+                   {"status": "UNSAT", "dimacs_sha256": "0" * 64},
+                   solver_record(complete(7), spec),
+                   solver_record(k6.relabel("other"), spec),
+                   solver_record(k6, ArrowSpec((3, 4)))):
+        with pytest.raises(CertificateError, match="dimacs_sha256"):
+            bound_certificate(k6, spec, 7, record)
+    cert = bound_certificate(k6, spec, 7, solver_record(k6, spec))
+    assert cert.evidence["kind"] == "solver-unsat"
 
 
 def test_certificate_checks_in_process_outcome_as_a_record():
-    # An in-process outcome passes the same record check as a file: an
-    # edge search on K6 proves nothing about K5 (F_e(3,3;7) = R(3,3) = 6).
+    # An in-process outcome is checked field by field: an edge search on K6
+    # proves nothing about K5 (F_e(3,3;7) = R(3,3) = 6).
     spec = ArrowSpec((3, 3))
     k6 = arrows_edges(complete(6), spec)
     with pytest.raises(CertificateError, match="different graph"):
@@ -122,25 +125,50 @@ def test_certificate_checks_in_process_outcome_as_a_record():
     with pytest.raises(CertificateError, match="'vertices' search"):
         bound_certificate(complete(5), spec, 7, k5_vertices)
     evidence = bound_certificate(complete(6), spec, 7, k6).evidence
-    assert evidence == {"kind": "native-search", **k6.to_json_obj()}
-    assert evidence["search"] == "edges"
+    assert evidence == {"kind": "native-search", "checked": True,
+                        "stats": k6.stats.to_json_obj()}
+
+
+def test_certificate_record_keys_do_not_override_its_own():
+    spec = ArrowSpec((3, 3))
+    record = solver_record(complete(6), spec, kind="native-search", checked=True)
+    evidence = bound_certificate(complete(6), spec, 7, record).evidence
+    assert (evidence["kind"], evidence["checked"]) == ("solver-unsat", False)
+    assert evidence["dimacs_sha256"] == record["dimacs_sha256"]
+
+
+def test_certificate_refuses_undefined_q():
+    # F_e(3,3;q) needs q > 3; C5 does not even arrow (3,3).
+    spec = ArrowSpec((3, 3))
+    for q in (2, 3):
+        with pytest.raises(CertificateError, match="undefined"):
+            bound_certificate(cycle(5), spec, q, solver_record(cycle(5), spec))
+    with pytest.raises(CertificateError, match="undefined"):
+        check_bound_instance(complete(6), ArrowSpec((3, 5)), 5)
+
+
+def test_certificate_refuses_solver_record_without_cnf():
+    # Only 2-color specs are encoded, so a 3-color UNSAT record cannot be
+    # tied to anything (F_e(3,3,3;6) is R(3,3,3) = 17, not 5).
+    with pytest.raises(CertificateError, match="2-color"):
+        bound_certificate(complete(5), ArrowSpec((3, 3, 3)), 6,
+                          {"status": "UNSAT", "dimacs_sha256": "0" * 64})
 
 
 def test_certificate_catalog_gate():
-    spec = ArrowSpec((3, 5))
-
-    def tied(g):
-        return {"verdict": "arrows", "graph6": emit_graph6(g), "spec": [3, 5],
-                "search": "edges"}
-
     lin = build_lin_graph()  # 18 vertices: open problem, below the best 21
-    with pytest.raises(CertificateError, match="best published upper bound 21"):
-        bound_certificate(lin, spec, 13, tied(lin))
-    with pytest.raises(CertificateError, match="known lower bound 18"):
-        bound_certificate(complete(12), spec, 13, tied(complete(12)))
-    cert = bound_certificate(build_theorem_graph(), spec, 13,
-                             {"status": "UNSAT", "dimacs_sha256": "0" * 64})
+    for sizes in ((3, 5), (5, 3)):
+        spec = ArrowSpec(sizes)
+        with pytest.raises(CertificateError, match="best published upper bound 21"):
+            bound_certificate(lin, spec, 13, solver_record(lin, spec))
+        with pytest.raises(CertificateError, match="known lower bound 18"):
+            bound_certificate(complete(12), spec, 13,
+                              solver_record(complete(12), spec))
+    g = build_theorem_graph()
+    spec = ArrowSpec((3, 5))
+    cert = bound_certificate(g, spec, 13, solver_record(g, spec))
     assert cert.bound == "F_e(3,5;13) <= 21"
+    assert cert.evidence["dimacs_sha256"] == THEOREM_SHA256
 
 
 def test_certificate_rejects_sat_solver_record():
@@ -159,6 +187,7 @@ def test_known_numbers_catalog():
     assert lookup_known((9, 9), 9) is None
     e = lookup_known((3, 5), 13)
     assert (e.low, e.high) == (18, 21)
+    assert lookup_known((5, 3), 13) is e  # F_e is symmetric in the a_i
     assert e.exact is None
     # every equality entry is a degenerate interval
     for entry in entries:

@@ -132,19 +132,28 @@ def test_decode_truncated_model(capsys, tmp_path):
 
 
 def test_certify_pipeline_k6(capsys, tmp_path):
-    evidence = tmp_path / "run.json"
-    code, out, _ = run(capsys, "arrows", "edges", "--graph", "K6",
-                       "--spec", "3,3", "--evidence-out", str(evidence))
-    assert code == 0
+    # With no evidence file, certify runs the edge search itself.
     cert_path = tmp_path / "cert.json"
     code, out, _ = run(capsys, "certify", "--graph", "K6", "--spec", "3,3",
-                       "--q", "7", "--evidence", str(evidence),
-                       "-o", str(cert_path))
+                       "--q", "7", "-o", str(cert_path))
     assert code == 0
     assert out_map(out)["bound"] == "F_e(3,3;7) <= 6"
     cert = json.loads(cert_path.read_text())
     assert cert["bound"] == "F_e(3,3;7) <= 6"
     assert cert["clique_number"] == 6
+    evidence = cert["evidence"]
+    assert (evidence["kind"], evidence["checked"]) == ("native-search", True)
+    assert (evidence["stats"]["nodes"], evidence["stats"]["propagations"]) == (19, 6)
+    # The search's own run record is a log: certify does not take it.
+    record = tmp_path / "run.json"
+    code, _, _ = run(capsys, "arrows", "edges", "--graph", "K6",
+                     "--spec", "3,3", "--evidence-out", str(record))
+    assert code == 0
+    code, out, err = run(capsys, "certify", "--graph", "K6", "--spec", "3,3",
+                         "--q", "7", "--evidence", str(record))
+    assert code == 3
+    assert out == ""
+    assert "not a solver UNSAT record" in err
 
 
 def test_certify_rejects_inconclusive_evidence(capsys, tmp_path):
@@ -160,10 +169,11 @@ def test_certify_rejects_mismatched_graph(capsys, tmp_path):
     evidence = tmp_path / "run.json"
     run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
         "--evidence-out", str(evidence))
-    code, _, err = run(capsys, "certify", "--graph", "K5", "--spec", "3,3",
-                       "--q", "7", "--evidence", str(evidence))
+    code, out, err = run(capsys, "certify", "--graph", "K5", "--spec", "3,3",
+                         "--q", "7", "--evidence", str(evidence))
     assert code == 3
-    assert "different graph" in err
+    assert out == ""
+    assert "not a solver UNSAT record" in err
 
 
 def test_certify_refuses_untied_record_for_open_problem(capsys, tmp_path):
@@ -229,7 +239,7 @@ def test_certify_refuses_vertex_search_record(capsys, tmp_path):
                          "--q", "7", "--evidence", str(evidence))
     assert code == 3
     assert out == ""
-    assert "error:" in err and "'vertices' search" in err
+    assert "error:" in err and "not a solver UNSAT record" in err
     assert json.loads(evidence.read_text())["search"] == "vertices"
 
 
@@ -299,3 +309,78 @@ def test_vertex_search_refuses_edge_only_flags(capsys, flags):
     assert out == ""
     assert err.startswith("error: ") and err.rstrip().endswith("edge searches only")
     assert "progress nodes" not in err
+
+
+def unsat_record(capsys, tmp_path, graph, spec, **keys):
+    """Write an UNSAT record carrying the sha256 that `encode` reports."""
+    code, out, _ = run(capsys, "encode", "--graph", graph, "--spec", spec,
+                       "-o", str(tmp_path / "f.cnf"))
+    assert code == 0
+    path = tmp_path / "unsat.json"
+    path.write_text(json.dumps({"status": "UNSAT",
+                                "dimacs_sha256": out_map(out)["sha256"], **keys}))
+    return path
+
+
+@pytest.mark.parametrize("graph,spec,q", [
+    ("K5", "3,3", "7"),          # F_e(3,3;7) = R(3,3) = 6
+    ("C5", "3,3", "3"),          # F_e(3,3;3) is undefined
+    ("lin-graph", "5,3", "13"),  # open problem, below the published 21
+    ("K12", "5,3", "13"),        # below the published lower bound 18
+    ("K5", "3,3,3", "6"),        # no CNF exists for a 3-color spec
+])
+def test_certify_refuses_bare_unsat_record(capsys, tmp_path, graph, spec, q):
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"status": "UNSAT"}))
+    code, out, err = run(capsys, "certify", "--graph", graph, "--spec", spec,
+                         "--q", q, "--evidence", str(bare))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("graph,refusal", [
+    ("lin-graph", "best published upper bound 21"),
+    ("K12", "known lower bound 18"),
+])
+def test_certify_catalog_gate_ignores_spec_order(capsys, tmp_path, graph, refusal):
+    evidence = unsat_record(capsys, tmp_path, graph, "5,3")
+    code, out, err = run(capsys, "certify", "--graph", graph, "--spec", "5,3",
+                         "--q", "13", "--evidence", str(evidence))
+    assert code == 3
+    assert out == ""
+    assert refusal in err
+
+
+def test_certify_refuses_undefined_q(capsys, tmp_path):
+    evidence = unsat_record(capsys, tmp_path, "C5", "3,3")
+    for extra in ([], ["--evidence", str(evidence)]):
+        code, out, err = run(capsys, "certify", "--graph", "C5", "--spec", "3,3",
+                             "--q", "3", *extra)
+        assert code == 3
+        assert out == ""
+        assert "undefined" in err
+
+
+def test_certify_theorem_graph_from_solver_record(capsys, tmp_path):
+    evidence = unsat_record(capsys, tmp_path, "theorem-graph", "3,5",
+                            solver="stand-in", kind="native-search", checked=True)
+    sha = json.loads(evidence.read_text())["dimacs_sha256"]
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "certify", "--graph", "theorem-graph", "--spec",
+                       "3,5", "--q", "13", "--evidence", str(evidence),
+                       "-o", str(cert_path))
+    assert code == 0
+    assert out_map(out)["bound"] == "F_e(3,5;13) <= 21"
+    cert = json.loads(cert_path.read_text())
+    assert cert["evidence"] == {"status": "UNSAT", "solver": "stand-in",
+                                "kind": "solver-unsat", "checked": False,
+                                "dimacs_sha256": sha}
+    for record in ({"status": "UNSAT"},
+                   {"status": "UNSAT", "dimacs_sha256": "0" * 64}):
+        evidence.write_text(json.dumps(record))
+        code, out, err = run(capsys, "certify", "--graph", "theorem-graph",
+                             "--spec", "3,5", "--q", "13", "--evidence", str(evidence))
+        assert code == 3
+        assert out == ""
+        assert "dimacs_sha256" in err
