@@ -1,12 +1,14 @@
 """Vertex and edge arrowing decisions by pruned backtracking search.
 
 G arrows (a_1,...,a_r) on edges iff no r-coloring of E(G) avoids a
-monochromatic a_i-clique in every color i; a coloring that does avoid them
-all is "free".  The searches here are exhaustive (a verdict of Arrows is
-only reported after the whole tree is exhausted); budgets turn into an
-explicit BudgetExhausted verdict, never a wrong answer.  The edge search
-also propagates: an edge whose other colors would each complete a
-forbidden clique is colored at once, without a decision.
+monochromatic a_i-clique in every color i, and on vertices likewise with
+colorings of V(G); a coloring that does avoid them all is "free".  Both
+questions are an `ArrowInstance` and are decided by one search loop,
+`_search`.  It is exhaustive (a verdict of Arrows is only reported after
+the whole tree is exhausted); budgets turn into an explicit BudgetExhausted
+verdict, never a wrong answer.  It also propagates: an item (edge or
+vertex) whose other colors would each complete a forbidden clique is
+colored at once, without a decision.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .graphs import (Graph, edges, emit_graph6, enumerate_cliques, find_clique,
-                     has_clique, mask_of, max_clique)
+from .graphs import (Graph, edges, emit_graph6, enumerate_cliques, has_clique,
+                     mask_of, max_clique)
 
 
 class ColoringError(ValueError):
@@ -101,7 +103,7 @@ class Verdict(enum.Enum):
 @dataclass
 class SearchStats:
     """`nodes`: colors tried at decisions, what a node budget bounds.
-    `propagations`: edges colored by propagation (edge search only).
+    `propagations`: items (edges or vertices) colored by propagation.
     `prunings`: tried colors cut, by cause ("clique", "neighborhood")."""
 
     nodes: int = 0
@@ -163,51 +165,60 @@ class SearchOutcome:
         }
 
 
-# --- the constraint core of an edge instance --------------------------------
+# --- the constraint core of an arrowing instance -----------------------------
 
 class ArrowInstance:
     """The constraints of one edge-arrowing question G -> (a_1,...,a_r).
 
-    Built once per (graph, spec) and read by the edge search, the
-    free-coloring check, the CNF encoder and the model decoder.  An edge id
-    is an index into the canonical edge list `edges(g)`.  `cliques[i]` holds
-    every forbidden clique of color i+1, in lexicographic order, as
-    (clique, ascending edge ids, edge bitmask); that order fixes the CNF
-    clause order and which violation is reported first.  The search-only
-    indexes `by_edge` and `order` are built on first use, so encoding and
-    decoding never pay for them.
+    Built once per (graph, spec) and read by the search, the free-coloring
+    check, the CNF encoder and the model decoder.  An item is what gets
+    colored: here an edge; `VertexInstance` asks the question of vertices.
+    `items` lists them, here the canonical edge list `edges(g)`, and an item
+    id is an index into it.  `cliques[i]` holds every forbidden clique of
+    color i+1, in lexicographic order, as (clique, ascending item ids, item
+    bitmask); that order fixes the CNF clause order and which violation is
+    reported first.  The search-only indexes `by_edge` and `order` are built
+    on first use, so encoding and decoding never pay for them.
     """
+
+    search = "edges"
 
     def __init__(self, g: Graph, spec: ArrowSpec):
         self.g = g
         self.spec = spec
-        self.edges = edges(g)
-        self._eid = {e: i for i, e in enumerate(self.edges)}
+        self.items = self._items()
         self.cliques = tuple([self._constraint(c) for c in enumerate_cliques(g, a)]
                              for a in spec.sizes)
 
-    def _edge_ids(self, clique) -> tuple[int, ...]:
+    def _items(self):
+        return edges(self.g)
+
+    @cached_property
+    def _eid(self) -> dict[tuple[int, int], int]:
+        return {e: i for i, e in enumerate(self.items)}
+
+    def _item_ids(self, clique) -> tuple[int, ...]:
         # The pairs of an ascending clique come out in lexicographic order,
         # hence in ascending edge id.
         return tuple(map(self._eid.__getitem__, combinations(clique, 2)))
 
     def _constraint(self, clique):
-        eids = self._edge_ids(clique)
-        return clique, eids, mask_of(eids)
+        ids = self._item_ids(clique)
+        return clique, ids, mask_of(ids)
 
     @cached_property
     def by_edge(self) -> tuple[list[list[int]], ...]:
-        """by_edge[i][e]: for each color-(i+1) clique containing edge e, the
-        bitmask of its other edges.  Coloring e with color i+1 completes the
+        """by_edge[i][e]: for each color-(i+1) clique containing item e, the
+        bitmask of its other items.  Coloring e with color i+1 completes the
         clique iff all of those already have that color; the search's
-        propagation looks here for cliques left one uncolored edge short."""
+        propagation looks here for cliques left one uncolored item short."""
         out = []
         for constraints in self.cliques:
-            per_edge: list[list[int]] = [[] for _ in self.edges]
-            for _, eids, mask in constraints:
-                for e in eids:
-                    per_edge[e].append(mask & ~(1 << e))
-            out.append(per_edge)
+            per_item: list[list[int]] = [[] for _ in self.items]
+            for _, ids, mask in constraints:
+                for e in ids:
+                    per_item[e].append(mask & ~(1 << e))
+            out.append(per_item)
         return tuple(out)
 
     @cached_property
@@ -215,15 +226,15 @@ class ArrowInstance:
         """Static search order: edges inside the most maximum cliques first,
         ties in lexicographic order, so monochromatic-clique constraints
         complete as early as possible."""
-        count = [0] * len(self.edges)
+        count = [0] * len(self.items)
         for clique in enumerate_cliques(self.g, len(max_clique(self.g))):
-            for e in self._edge_ids(clique):
+            for e in self._item_ids(clique):
                 count[e] += 1
-        return sorted(range(len(self.edges)), key=lambda e: -count[e])
+        return sorted(range(len(self.items)), key=lambda e: -count[e])
 
     def violation(self, colors) -> tuple[int, tuple[int, ...]] | None:
-        """The first (color, clique) whose edges all carry that color under
-        the total coloring `colors` (aligned to `edges`), or None if free."""
+        """The first (color, clique) whose items all carry that color under
+        the total coloring `colors` (aligned to `items`), or None if free."""
         class_mask = [0] * (self.spec.r + 1)
         for e, c in enumerate(colors):
             class_mask[c] |= 1 << e
@@ -235,36 +246,47 @@ class ArrowInstance:
         return None
 
 
+class VertexInstance(ArrowInstance):
+    """The vertex-arrowing question: the items are the vertices 0..n-1, so
+    a clique's item ids are its own vertices."""
+
+    search = "vertices"
+
+    def _items(self):
+        return range(self.g.n)
+
+    def _item_ids(self, clique) -> tuple[int, ...]:
+        return clique
+
+    @cached_property
+    def order(self) -> list[int]:
+        """Static search order: descending degree, ties by index."""
+        return sorted(range(self.g.n), key=lambda v: (-self.g.adj[v].bit_count(), v))
+
+
 # --- free-coloring verification ---------------------------------------------
 
-def _check_colors(spec: ArrowSpec, colors):
-    for c in colors:
-        if not 1 <= c <= spec.r:
-            raise ColoringError(f"color {c} outside 1..{spec.r}")
+def _free_check(inst_class, g: Graph, spec: ArrowSpec, c):
+    if c.host is not g and c.host != g:
+        raise ColoringError("coloring belongs to a different graph")
+    for color in c.colors:
+        if not 1 <= color <= spec.r:
+            raise ColoringError(f"color {color} outside 1..{spec.r}")
+    violation = inst_class(g, spec).violation(c.colors)
+    return violation is None, violation
 
 
 def is_free_vertex_coloring(g: Graph, spec: ArrowSpec, c: VertexColoring):
     """(True, None) if no color class induces a forbidden clique, else
-    (False, (color, clique))."""
-    if c.host is not g and c.host != g:
-        raise ColoringError("coloring belongs to a different graph")
-    _check_colors(spec, c.colors)
-    for i, a in enumerate(spec.sizes, start=1):
-        mask = mask_of(v for v in range(g.n) if c.colors[v] == i)
-        clique = find_clique(g, mask, a)
-        if clique is not None:
-            return False, (i, clique)
-    return True, None
+    (False, (color, clique)) for the first such clique in color, then
+    lexicographic, order."""
+    return _free_check(VertexInstance, g, spec, c)
 
 
 def is_free_edge_coloring(g: Graph, spec: ArrowSpec, c: EdgeColoring):
     """(True, None) if no color class contains all edges of a forbidden
     clique, else (False, (color, clique))."""
-    if c.host is not g and c.host != g:
-        raise ColoringError("coloring belongs to a different graph")
-    _check_colors(spec, c.colors)
-    violation = ArrowInstance(g, spec).violation(c.colors)
-    return violation is None, violation
+    return _free_check(ArrowInstance, g, spec, c)
 
 
 # --- Ramsey registry and derived pruning bounds ------------------------------
@@ -303,99 +325,50 @@ def neighborhood_clique_bounds(spec: ArrowSpec) -> tuple[int, int] | None:
     return r1 - 1, r2 - 1
 
 
-# --- vertex arrowing ----------------------------------------------------------
+# --- the search --------------------------------------------------------------
 
-def arrows_vertices(g: Graph, spec: ArrowSpec,
-                    budget: SearchBudget | None = None) -> SearchOutcome:
-    """Exhaustive backtracking over vertex colorings.
+def _search(inst: ArrowInstance, budget: SearchBudget | None,
+            bounds: tuple[int, int] | None, progress_every: int = 0) -> SearchOutcome:
+    """Backtracking over colorings of `inst.items` with unit propagation;
+    both the vertex and the edge search are this loop.
 
-    Vertices are assigned in descending-degree order (ties by index); a branch
-    dies as soon as the newest vertex completes a forbidden clique in its
-    color class.
-    """
-    order = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
-    stats = SearchStats()
-    start = time.monotonic()
-    colors = [0] * g.n
-    class_mask = [0] * (spec.r + 1)
-    adj = g.adj
-
-    FOUND, EXHAUSTED, STOPPED = 0, 1, 2
-    found: list[int] = []
-
-    def rec(depth: int) -> int:
-        if depth == g.n:
-            found[:] = colors  # snapshot before the unwind resets it
-            return FOUND
-        v = order[depth]
-        for i, a in enumerate(spec.sizes, start=1):
-            stats.nodes += 1
-            if budget is not None and budget.exceeded(stats.nodes, start):
-                return STOPPED
-            if has_clique(g, class_mask[i] & adj[v], a - 1):
-                stats.bump("clique")
-                continue
-            colors[v] = i
-            class_mask[i] |= 1 << v
-            res = rec(depth + 1)
-            class_mask[i] &= ~(1 << v)
-            colors[v] = 0
-            if res != EXHAUSTED:
-                return res
-        return EXHAUSTED
-
-    res = rec(0)
-    stats.seconds = time.monotonic() - start
-    if res == FOUND:
-        witness = VertexColoring(g, tuple(found))
-        ok, _ = is_free_vertex_coloring(g, spec, witness)
-        if not ok:
-            raise RuntimeError("search produced a non-free witness")
-        return SearchOutcome(Verdict.FREE_COLORING, witness, stats, g, spec, "vertices")
-    verdict = Verdict.BUDGET_EXHAUSTED if res == STOPPED else Verdict.ARROWS
-    return SearchOutcome(verdict, None, stats, g, spec, "vertices")
-
-
-# --- edge arrowing ------------------------------------------------------------
-
-def _edge_search(inst: ArrowInstance, budget: SearchBudget | None,
-                 neighborhood_pruning: bool, progress_every: int = 0):
-    """Backtracking over edge colorings with unit propagation.
-
-    Decisions take the edges in `inst.order`, colors ascending, and skip an
-    edge that propagation has already colored.  `dom[e]` is the bitmask of
-    colors an uncolored edge e may still take (bit c for color c).  Giving
-    an edge color c visits every forbidden color-c clique through it: once
-    all edges of such a clique but one uncolored edge f have color c, c
+    Decisions take the items in `inst.order`, colors ascending, and skip an
+    item that propagation has already colored.  `dom[e]` is the bitmask of
+    colors an uncolored item e may still take (bit c for color c); color c
+    starts outside it when e alone is a forbidden color-c clique.  Giving
+    an item color c visits every forbidden color-c clique through it: once
+    all items of such a clique but one uncolored item f have color c, c
     leaves f's domain.  An empty domain is a conflict; a single color left
     forces f to it at once, and forcing cascades within the same decision.
-    Every assignment, decided or forced, also passes the neighborhood test
-    when its cliques are visited.  Propagation only cuts subtrees that hold
-    no free coloring, so the first free coloring found is still the
+    With neighborhood `bounds` (edge searches, 2 colors), every edge
+    assignment, decided or forced, also passes the neighborhood test when
+    its cliques are visited.  Propagation only cuts subtrees that hold no
+    free coloring, so the first free coloring found is still the
     lexicographically first in `inst.order`.
 
     A frame per decision holds its depth, the color last tried there and
     what to restore before the next color: the color masks, the colored
-    neighborhoods, the assigned-edge mask and the length of `trail`, which
-    records (edge, old domain) for each domain change that leaves a choice
+    neighborhoods, the assigned-item mask and the length of `trail`, which
+    records (item, old domain) for each domain change that leaves a choice
     (only possible with three or more colors).
 
     `nodes` counts colors tried at decisions; each is either pruned, for
-    one cause, or entered.  `propagations` counts forced assignments.
-    Returns (verdict, colors or None, stats)."""
+    one cause, or entered.  `propagations` counts forced assignments.  A
+    free coloring found is checked against the instance before it is
+    returned."""
     g, spec = inst.g, inst.spec
-    elist, order = inst.edges, inst.order
+    elist, order = inst.items, inst.order
     by_edge = (None,) + inst.by_edge  # indexed by color
     adj, n, m, r = g.adj, g.n, len(elist), spec.r
 
-    bounds = None
-    if neighborhood_pruning and r == 2:
-        bounds = neighborhood_clique_bounds(spec)
     # All forbidden sizes equal: colors are interchangeable, so fixing the
-    # first edge's color cuts the tree by a factor r without losing verdicts.
+    # first item's color cuts the tree by a factor r without losing verdicts.
     first_top = 1 if len(set(spec.sizes)) == 1 else r
-    # A color whose forbidden clique is a single edge (a = 2) is never allowed.
-    dom = [sum(1 << c for c, a in enumerate(spec.sizes, start=1) if a > 2)] * m
+    dom = [(1 << (r + 1)) - 2] * m
+    for c, constraints in enumerate(inst.cliques, start=1):
+        for _, ids, _ in constraints:
+            if len(ids) == 1:  # this item alone is a forbidden color-c clique
+                dom[ids[0]] &= ~(1 << c)
     assigned = 0
     color_mask = [0] * (r + 1)
     nbr = [0] * ((r + 1) * n)  # nbr[c * n + u]: u's neighbors by color-c edges
@@ -444,10 +417,10 @@ def _edge_search(inst: ArrowInstance, budget: SearchBudget | None,
             cause = None
             queue = [(eid, c)]
             for f, d in queue:  # grows while it is read
-                u, v = elist[f]
                 if bounds is not None:
                     # Each earlier assignment passed this test, so a new
                     # (b+1)-clique in u's color-d neighborhood contains v.
+                    u, v = elist[f]
                     b = bounds[d - 1]
                     x = nbr[d * n + u] & adj[v]
                     y = nbr[d * n + v] & adj[u]
@@ -455,18 +428,18 @@ def _edge_search(inst: ArrowInstance, budget: SearchBudget | None,
                             or (y.bit_count() >= b and has_clique(g, y, b))):
                         cause = "neighborhood"
                         break
-                nbr[d * n + u] |= 1 << v
-                nbr[d * n + v] |= 1 << u
-                other = assigned & ~color_mask[d]  # edges of another color
+                    nbr[d * n + u] |= 1 << v
+                    nbr[d * n + v] |= 1 << u
+                other = assigned & ~color_mask[d]  # items of another color
                 free = ~assigned
                 dbit = 1 << d
                 for rest in by_edge[d][f]:
                     if rest & other:
                         continue
-                    miss = rest & free  # the clique's edges not colored yet
+                    miss = rest & free  # the clique's items not colored yet
                     if miss & (miss - 1):
                         continue
-                    if not miss:  # all colored d: two forced edges closed it
+                    if not miss:  # all colored d: two forced items closed it
                         cause = "clique"
                         break
                     h = miss.bit_length() - 1
@@ -498,9 +471,26 @@ def _edge_search(inst: ArrowInstance, budget: SearchBudget | None,
     stats.propagations = propagations
     stats.seconds = time.monotonic() - start
     if verdict is not Verdict.FREE_COLORING:
-        return verdict, None, stats
-    return verdict, tuple(next(c for c in range(1, r + 1) if color_mask[c] >> e & 1)
-                          for e in range(m)), stats
+        return SearchOutcome(verdict, None, stats, g, spec, inst.search)
+    colors = tuple(next(c for c in range(1, r + 1) if color_mask[c] >> e & 1)
+                   for e in range(m))
+    if inst.violation(colors) is not None:
+        raise RuntimeError("search produced a non-free witness")
+    coloring = EdgeColoring if inst.search == "edges" else VertexColoring
+    return SearchOutcome(verdict, coloring(g, colors), stats, g, spec, inst.search)
+
+
+def arrows_vertices(g: Graph, spec: ArrowSpec,
+                    budget: SearchBudget | None = None) -> SearchOutcome:
+    """Exhaustive backtracking over vertex colorings, with unit propagation.
+
+    Decides the vertices in descending-degree order (ties by index), colors
+    ascending.  A branch dies when a vertex completes a monochromatic
+    forbidden clique or is left with no color; a vertex left with a single
+    color is forced to it.  A free coloring returned is the
+    lexicographically first in that order.
+    """
+    return _search(VertexInstance(g, spec), budget, None)
 
 
 def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
@@ -517,11 +507,9 @@ def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
     Ramsey-derived cap.  A free coloring returned is the lexicographically
     first in that order.  Runs in one process and is fully deterministic.
     """
-    inst = ArrowInstance(g, spec)
-    verdict, colors, stats = _edge_search(inst, budget, neighborhood_pruning,
-                                          progress_every)
-    if verdict is not Verdict.FREE_COLORING:
-        return SearchOutcome(verdict, None, stats, g, spec, "edges")
-    if inst.violation(colors) is not None:
-        raise RuntimeError("search produced a non-free witness")
-    return SearchOutcome(verdict, EdgeColoring(g, colors), stats, g, spec, "edges")
+    if progress_every < 0:
+        raise ValueError(f"progress interval must be >= 0, got {progress_every}")
+    bounds = None
+    if neighborhood_pruning and spec.r == 2:
+        bounds = neighborhood_clique_bounds(spec)
+    return _search(ArrowInstance(g, spec), budget, bounds, progress_every)

@@ -61,8 +61,8 @@ def encode_edge_arrowing(g: Graph, spec: ArrowSpec) -> CnfFormula:
         f"spec {spec} (true = color 1 = blue, false = color 2 = red)",
         "satisfiable iff a free edge coloring exists",
     ]
-    comments += [f"edge {i} {u} {v}" for i, (u, v) in enumerate(inst.edges, start=1)]
-    return CnfFormula(len(inst.edges), clauses, comments)
+    comments += [f"edge {i} {u} {v}" for i, (u, v) in enumerate(inst.items, start=1)]
+    return CnfFormula(len(inst.items), clauses, comments)
 
 
 def emit_dimacs(f: CnfFormula) -> str:
@@ -137,16 +137,22 @@ def decode_model(g: Graph, spec: ArrowSpec, model) -> EdgeColoring:
 
     A model that decodes to a non-free coloring means the encoder and the
     solver disagree about the formula; that is an error, never a witness.
+    So is a model that is not one for this formula: one that sets a
+    variable both ways or names a variable the formula does not have.
     """
     if spec.r != 2:
         raise CnfError("decoding supports 2-color specs only")
     inst = ArrowInstance(g, spec)
+    num_vars = len(inst.items)
     assignment: dict[int, bool] = {}
     for lit in model:
         if lit == 0:
             continue
-        assignment[abs(lit)] = lit > 0
-    num_vars = len(inst.edges)
+        var = abs(lit)
+        if var > num_vars:
+            raise CnfError(f"model names variable {var}, outside 1..{num_vars}")
+        if assignment.setdefault(var, lit > 0) != (lit > 0):
+            raise CnfError(f"model sets variable {var} both true and false")
     missing = [i for i in range(1, num_vars + 1) if i not in assignment]
     if missing:
         raise CnfError(f"model leaves variables unassigned: {missing[:5]}")

@@ -245,29 +245,21 @@ def independence_number(g: Graph) -> int:
 
 def has_clique(g: Graph, mask: int, k: int) -> bool:
     """Does g restricted to the vertex bitmask `mask` contain a k-clique?"""
-    return find_clique(g, mask, k) is not None
-
-
-def find_clique(g: Graph, mask: int, k: int):
-    """A k-clique inside the vertex bitmask, as an ascending tuple, or None."""
-    adj = g.adj
-
-    def rec(m: int, need: int, acc: list[int]):
-        if need == 0:
-            return tuple(acc)
-        while m.bit_count() >= need:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            acc.append(v)
-            got = rec(m & adj[v], need - 1, acc)
-            if got is not None:
-                return got
-            acc.pop()
-        return None
-
     if k < 0:
         raise GraphError("clique size must be nonnegative")
-    return rec(mask, k, [])
+    adj = g.adj
+    stack = [(mask, k)]  # (candidates, clique vertices still needed)
+    while stack:
+        m, need = stack.pop()
+        if m.bit_count() < need:
+            continue
+        if need <= 1:
+            return True
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        stack.append((m, need))  # cliques without v, tried after those with it
+        stack.append((m & adj[v], need - 1))
+    return False
 
 
 def enumerate_cliques(g: Graph, k: int) -> list[tuple[int, ...]]:

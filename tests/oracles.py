@@ -108,6 +108,20 @@ def brute_first_free_coloring(g: Graph, sizes, order) -> dict | None:
     return None
 
 
+def brute_first_free_vertex_coloring(g: Graph, sizes, order) -> dict | None:
+    """The first free vertex coloring, dict v -> color, in the lexicographic
+    order of the color sequences over the vertex list `order` (colors
+    ascending), or None if G vertex-arrows `sizes`.  Plain product
+    enumeration."""
+    forbidden = [(color, vs) for color, a in enumerate(sizes, start=1)
+                 for vs in brute_cliques(g, a)]
+    for colors in product(range(1, len(sizes) + 1), repeat=len(order)):
+        coloring = dict(zip(order, colors))
+        if not any(all(coloring[v] == color for v in vs) for color, vs in forbidden):
+            return coloring
+    return None
+
+
 def brute_arrows_vertices(g: Graph, sizes) -> bool:
     for colors in product(range(1, len(sizes) + 1), repeat=g.n):
         free = True

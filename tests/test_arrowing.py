@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from folkman import arrowing
 from folkman.arrowing import (ArrowInstance, ArrowSpec, ColoringError,
                               EdgeColoring, SearchBudget, Verdict,
                               VertexColoring, arrows_edges, arrows_vertices,
@@ -14,7 +13,7 @@ from folkman.graphs import Graph, complete, cycle, edges, join
 from folkman.bounds import build_q, build_theorem_graph
 from oracles import (brute_arrows_edges, brute_arrows_edges_2color,
                      brute_arrows_vertices, brute_first_free_coloring,
-                     random_graph)
+                     brute_first_free_vertex_coloring, random_graph)
 
 
 def pentagon_pentagram(k5: Graph) -> EdgeColoring:
@@ -89,15 +88,22 @@ def test_is_free_vertex_coloring():
                                     VertexColoring(k4, (1, 1, 2, 2)))
     assert ok
     k5 = complete(5)
-    for colors in [(1, 1, 1, 2, 2), (1, 2, 1, 2, 1), (2, 2, 2, 2, 2)]:
+    # The first violation in color order, then lexicographic clique order.
+    for colors, first in [((1, 1, 1, 2, 2), (1, (0, 1, 2))),
+                          ((1, 2, 1, 2, 1), (1, (0, 2, 4))),
+                          ((2, 2, 2, 2, 2), (2, (0, 1, 2))),
+                          ((2, 1, 1, 1, 1), (1, (1, 2, 3)))]:
         ok, violation = is_free_vertex_coloring(k5, ArrowSpec((3, 3)),
                                                 VertexColoring(k5, colors))
-        assert not ok and len(violation[1]) == 3
+        assert not ok and violation == first
 
 
 def test_arrows_vertices_q():
     out = arrows_vertices(build_q(), ArrowSpec((3, 4)))
     assert out.verdict is Verdict.ARROWS
+    # The counts pin the vertex search's order and propagation.
+    assert (out.stats.nodes, out.stats.propagations) == (72, 223)
+    assert out.stats.prunings == {"clique": 37}
 
 
 def test_arrows_vertices_pigeonhole():
@@ -121,6 +127,22 @@ def test_arrows_vertices_vs_bruteforce():
         spec = ArrowSpec((3, 3))
         out = arrows_vertices(g, spec)
         assert (out.verdict is Verdict.ARROWS) == brute_arrows_vertices(g, spec.sizes)
+
+
+def test_arrows_vertices_witness_is_first_free_coloring():
+    # The vertex search returns the lexicographically first free coloring
+    # in its vertex order, colors ascending.  With a = 2 a color class must
+    # be independent; that color is not banned outright, as it is for edges.
+    rng = random.Random(43)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 8), p=rng.choice((0.3, 0.5, 0.8)))
+        order = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
+        for sizes in ((2, 2), (2, 3), (3, 3), (3, 4), (2, 3, 4), (3, 3, 3), (4,)):
+            want = brute_first_free_vertex_coloring(g, sizes, order)
+            out = arrows_vertices(g, ArrowSpec(sizes))
+            assert (out.verdict is Verdict.ARROWS) == (want is None)
+            got = None if out.witness is None else dict(enumerate(out.witness.colors))
+            assert got == want, (edges(g), sizes)
 
 
 def test_arrows_edges_thresholds_33():
@@ -177,7 +199,7 @@ def test_arrows_edges_witness_is_first_free_coloring():
         for sizes in ((2, 3), (3, 3), (3, 4), (3, 3, 3)):
             inst = ArrowInstance(g, ArrowSpec(sizes))
             want = brute_first_free_coloring(g, sizes,
-                                             [inst.edges[e] for e in inst.order])
+                                             [inst.items[e] for e in inst.order])
             for pruning in (True, False):
                 out = arrows_edges(g, ArrowSpec(sizes), neighborhood_pruning=pruning)
                 assert (out.verdict is Verdict.ARROWS) == (want is None)
@@ -286,8 +308,6 @@ def test_non_free_witness_raises(monkeypatch):
                         lambda self, colors: (1, (0, 1, 2)))
     with pytest.raises(RuntimeError, match="non-free witness"):
         arrows_edges(complete(5), ArrowSpec((3, 3)))
-    monkeypatch.setattr(arrowing, "is_free_vertex_coloring",
-                        lambda g, spec, c: (False, (1, (0, 1, 2))))
     with pytest.raises(RuntimeError, match="non-free witness"):
         arrows_vertices(complete(4), ArrowSpec((3, 3)))
 

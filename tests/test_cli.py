@@ -131,6 +131,19 @@ def test_decode_truncated_model(capsys, tmp_path):
     assert "unassigned" in err
 
 
+@pytest.mark.parametrize("lits", ["1 -1 2 3 999", "-1 2 3 1"])
+def test_decode_refuses_model_for_another_formula(capsys, tmp_path, lits):
+    # The first model once decoded to a free coloring, the second to an
+    # "encoder/solver inconsistency": the last literal for a variable won.
+    model_path = tmp_path / "model.txt"
+    model_path.write_text(f"v {lits} 0\n")
+    code, out, err = run(capsys, "decode", "--graph", "K3", "--spec", "3,3",
+                         "--model", str(model_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: model ")
+
+
 def test_certify_pipeline_k6(capsys, tmp_path):
     # With no evidence file, certify runs the edge search itself.
     cert_path = tmp_path / "cert.json"
@@ -227,6 +240,15 @@ def test_progress_flag(capsys):
     assert out_map(out)["nodes"] == "19"
     assert any(line.startswith("progress nodes=5 ") for line in err.splitlines())
     assert "progress" not in out
+
+
+def test_progress_refuses_negative_interval(capsys):
+    # `nodes % -1 == 0` would print a progress line at every node.
+    code, out, err = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
+                         "--progress", "-1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "progress nodes" not in err
 
 
 def test_certify_refuses_vertex_search_record(capsys, tmp_path):

@@ -133,6 +133,19 @@ def test_decode_model_rejects_incomplete():
         decode_model(g, ArrowSpec((3, 3)), [])
 
 
+def test_decode_model_rejects_foreign_model():
+    # A model for another formula is refused, not decoded by last literal.
+    g = complete(3)
+    with pytest.raises(CnfError, match="variable 1 both"):
+        decode_model(g, ArrowSpec((3, 3)), [1, -1, 2, 3])
+    with pytest.raises(CnfError, match="variable 1 both"):
+        decode_model(g, ArrowSpec((3, 3)), [-1, 2, 3, 1])
+    with pytest.raises(CnfError, match="variable 999, outside 1..3"):
+        decode_model(g, ArrowSpec((3, 3)), [-1, 2, 3, 999])
+    # A literal repeated with the same sign is the same assignment.
+    assert decode_model(g, ArrowSpec((3, 3)), [-1, 2, 3, -1]).colors == (2, 1, 1)
+
+
 def test_parse_model():
     text = "c comment\ns SATISFIABLE\nv 1 -2 3\nv -4 0\n"
     assert parse_model(text) == [1, -2, 3, -4]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from folkman.graphs import (Graph, GraphError, Graph6Error, complete, cycle,
                             circulant, complement, join, induced, neighborhood,
-                            edges, max_clique, clique_number,
+                            edges, has_clique, max_clique, clique_number,
                             independence_number, enumerate_cliques,
                             parse_graph6, emit_graph6)
 from oracles import brute_cliques, brute_clique_number, random_graph
@@ -160,6 +160,20 @@ def test_enumerate_cliques_vs_subset_filter():
         g = random_graph(rng, rng.randint(2, 10))
         for k in range(1, 5):
             assert enumerate_cliques(g, k) == brute_cliques(g, k)
+
+
+def test_has_clique_vs_subset_filter():
+    rng = random.Random(19)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 9), p=rng.choice((0.4, 0.7)))
+        full = (1 << g.n) - 1
+        masks = [0, full] + [rng.randrange(full + 1) for _ in range(6)]
+        for mask in masks:
+            for k in range(7):
+                want = any(all(mask >> v & 1 for v in vs) for vs in brute_cliques(g, k))
+                assert has_clique(g, mask, k) == want, (edges(g), mask, k)
+    with pytest.raises(GraphError):
+        has_clique(complete(3), 7, -1)
 
 
 def test_enumerate_cliques_lexicographic():

@@ -22,6 +22,16 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert statement on line(s) {lines}"
 
 
+def test_arrowing_defines_no_nested_functions():
+    # Every search in arrowing.py is the one iterative loop: no recursive
+    # closure, and so no recursion limit.
+    tree = ast.parse((SRC / "arrowing.py").read_text())
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    nested = [inner.name for outer in ast.walk(tree) if isinstance(outer, defs)
+              for inner in ast.walk(outer) if inner is not outer and isinstance(inner, defs)]
+    assert nested == [], f"arrowing.py: nested function(s) {nested}"
+
+
 def test_oracles_import_only_graph_from_package():
     # The oracles check the package, so they share no code with it beyond
     # the Graph they are handed.
