@@ -8,19 +8,25 @@ questions are an `ArrowInstance` and are decided by one search loop,
 the whole tree is exhausted); budgets turn into an explicit BudgetExhausted
 verdict, never a wrong answer.  It also propagates: an item (edge or
 vertex) whose other colors would each complete a forbidden clique is
-colored at once, without a decision.
+colored at once, without a decision.  And it breaks symmetry: a branch is
+cut when an automorphism of G maps its partial coloring to a
+lexicographically smaller one (lex-leader symmetry breaking; Crawford,
+Ginsberg, Luks & Roy, KR 1996), with the automorphisms from
+`graphs.automorphism_generators`.
 """
 from __future__ import annotations
 
 import enum
+import math
 import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .graphs import (Graph, edges, emit_graph6, enumerate_cliques, has_clique,
-                     mask_of, max_clique)
+from .graphs import (Graph, automorphism_generators, bits_of, check_automorphism,
+                     edges, emit_graph6, enumerate_cliques, has_clique, mask_of,
+                     max_clique)
 
 
 class ColoringError(ValueError):
@@ -104,10 +110,13 @@ class Verdict(enum.Enum):
 class SearchStats:
     """`nodes`: colors tried at decisions, what a node budget bounds.
     `propagations`: items (edges or vertices) colored by propagation.
-    `prunings`: tried colors cut, by cause ("clique", "neighborhood")."""
+    `generators`: automorphisms the symmetry test used.
+    `prunings`: tried colors cut, by cause ("clique", "neighborhood",
+    "symmetry")."""
 
     nodes: int = 0
     propagations: int = 0
+    generators: int = 0
     prunings: dict[str, int] = field(default_factory=dict)
     seconds: float = 0.0
 
@@ -116,7 +125,8 @@ class SearchStats:
 
     def to_json_obj(self) -> dict:
         return {"nodes": self.nodes, "propagations": self.propagations,
-                "prunings": self.prunings, "seconds": round(self.seconds, 3)}
+                "generators": self.generators, "prunings": self.prunings,
+                "seconds": round(self.seconds, 3)}
 
 
 @dataclass(frozen=True)
@@ -127,8 +137,10 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
+        if self.max_seconds is not None and not (math.isfinite(self.max_seconds)
+                                                 and self.max_seconds > 0):
+            raise ValueError(f"max_seconds must be positive and finite, "
+                             f"got {self.max_seconds}")
 
     def exceeded(self, nodes: int, start: float) -> bool:
         """Has a search that started at `start` (monotonic clock) and has
@@ -177,8 +189,9 @@ class ArrowInstance:
     id is an index into it.  `cliques[i]` holds every forbidden clique of
     color i+1, in lexicographic order, as (clique, ascending item ids, item
     bitmask); that order fixes the CNF clause order and which violation is
-    reported first.  The search-only indexes `by_edge` and `order` are built
-    on first use, so encoding and decoding never pay for them.
+    reported first.  The search-only indexes `by_edge`, `order` and
+    `symmetries` are built on first use, so encoding, decoding and the
+    free-coloring check never pay for them.
     """
 
     search = "edges"
@@ -232,6 +245,33 @@ class ArrowInstance:
                 count[e] += 1
         return sorted(range(len(self.items)), key=lambda e: -count[e])
 
+    def _item_image(self, perm) -> dict[int, int]:
+        # Item -> image item under the vertex permutation perm, for the
+        # items on the vertices it moves.
+        eid, adj = self._eid, self.g.adj
+        out = {}
+        for u in (u for u, w in enumerate(perm) if u != w):
+            for v in bits_of(adj[u]):
+                a, b = perm[u], perm[v]
+                out[eid[(u, v) if u < v else (v, u)]] = eid[(a, b) if a < b else (b, a)]
+        return out
+
+    @cached_property
+    def symmetries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per generator s of `automorphism_generators(g)`, each checked to
+        be an automorphism, the pairs (item e, item s(e)) of the items s
+        moves, listed along `order`.  Generators that move no item, or move
+        them as an earlier one does, are left out."""
+        position = {e: i for i, e in enumerate(self.order)}
+        out = []
+        for perm in automorphism_generators(self.g):
+            check_automorphism(self.g, perm)
+            pairs = tuple(sorted(((e, f) for e, f in self._item_image(perm).items()
+                                  if e != f), key=lambda pair: position[pair[0]]))
+            if pairs and pairs not in out:
+                out.append(pairs)
+        return tuple(out)
+
     def violation(self, colors) -> tuple[int, tuple[int, ...]] | None:
         """The first (color, clique) whose items all carry that color under
         the total coloring `colors` (aligned to `items`), or None if free."""
@@ -257,6 +297,9 @@ class VertexInstance(ArrowInstance):
 
     def _item_ids(self, clique) -> tuple[int, ...]:
         return clique
+
+    def _item_image(self, perm) -> dict[int, int]:
+        return dict(enumerate(perm))
 
     @cached_property
     def order(self) -> list[int]:
@@ -343,14 +386,27 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     With neighborhood `bounds` (edge searches, 2 colors), every edge
     assignment, decided or forced, also passes the neighborhood test when
     its cliques are visited.  Propagation only cuts subtrees that hold no
-    free coloring, so the first free coloring found is still the
-    lexicographically first in `inst.order`.
+    free coloring.
+
+    After propagation succeeds, each generator s of `inst.symmetries` is
+    compared: with c the partial coloring and s(c) the coloring that
+    reads c(s(e)) at each item e, a node is cut, for cause "symmetry", when
+    at the first position along `inst.order` where c and s(c) differ both
+    items are colored and s(c) is smaller there.  Every completion of c is
+    then larger than its image, so none is the lexicographically first
+    free coloring, which is the least in its orbit.  A frame keeps, per
+    generator still active on its branch, how many of its pairs are known
+    equal; a generator whose image is found larger is dropped for the
+    subtree.  So the first free coloring found is still the
+    lexicographically first in `inst.order`, and the verdict is that of the
+    full tree.
 
     A frame per decision holds its depth, the color last tried there and
     what to restore before the next color: the color masks, the colored
-    neighborhoods, the assigned-item mask and the length of `trail`, which
+    neighborhoods, the assigned-item mask, the length of `trail`, which
     records (item, old domain) for each domain change that leaves a choice
-    (only possible with three or more colors).
+    (only possible with three or more colors), and the active generators
+    with the items they wait on.
 
     `nodes` counts colors tried at decisions; each is either pruned, for
     one cause, or entered.  `propagations` counts forced assignments.  A
@@ -369,6 +425,15 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
         for _, ids, _ in constraints:
             if len(ids) == 1:  # this item alone is a forbidden color-c clique
                 dom[ids[0]] &= ~(1 << c)
+    # Per generator, (both items' mask, image item's bit) for each pair
+    # (e, s(e)) along `order`; `sym` holds each generator still active on
+    # this branch with how many of its pairs are known to be equal, and
+    # `watch` the items of the pairs they wait on.
+    syms = [[(1 << e | 1 << f, 1 << f) for e, f in pairs] for pairs in inst.symmetries]
+    sym = [(pairs, 0) for pairs in syms]
+    watch = 0
+    for pairs in syms:
+        watch |= pairs[0][0]
     assigned = 0
     color_mask = [0] * (r + 1)
     nbr = [0] * ((r + 1) * n)  # nbr[c * n + u]: u's neighbors by color-c edges
@@ -385,10 +450,12 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
         if depth == m:
             verdict = Verdict.FREE_COLORING
             break
-        frames.append([depth, 0, tuple(color_mask), tuple(nbr), assigned, len(trail)])
+        frames.append([depth, 0, tuple(color_mask), tuple(nbr), assigned, len(trail),
+                       sym, watch])
         while frames:  # try the next color at the innermost decision
             frame = frames[-1]
-            depth, c, saved_masks, saved_nbr, saved_assigned, mark = frame
+            (depth, c, saved_masks, saved_nbr, saved_assigned, mark,
+             saved_sym, saved_watch) = frame
             if c == (first_top if depth == 0 else r):
                 frames.pop()  # the frame below restores the state
                 continue
@@ -463,12 +530,41 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
             if cause:
                 stats.bump(cause)
                 continue
+            sym, watch = saved_sym, saved_watch
+            if assigned & ~saved_assigned & watch:  # a pair waited on may be done
+                sym, watch = [], 0
+                for entry in saved_sym:
+                    pairs, pos = entry
+                    both, fbit = pairs[pos]
+                    while assigned & both == both:  # both items colored
+                        x = color_mask[1] & both  # which of the two has the
+                        k = 1                     # lowest color, or both
+                        while not x and k < r - 1:
+                            k += 1
+                            x = color_mask[k] & both
+                        if x and x != both:  # the first difference
+                            if x == fbit:  # the image is smaller
+                                cause = "symmetry"
+                            break  # else larger: drop s for the subtree
+                        pos += 1
+                        if pos == len(pairs):  # equal on every item s moves
+                            break
+                        both, fbit = pairs[pos]
+                    else:
+                        sym.append(entry if pos == entry[1] else (pairs, pos))
+                        watch |= both
+                    if cause:
+                        break
+            if cause:
+                stats.bump(cause)
+                continue
             depth += 1
             break
         if not frames or verdict is Verdict.BUDGET_EXHAUSTED:
             break  # every decision exhausted, or out of budget
     stats.nodes = nodes
     stats.propagations = propagations
+    stats.generators = len(syms)
     stats.seconds = time.monotonic() - start
     if verdict is not Verdict.FREE_COLORING:
         return SearchOutcome(verdict, None, stats, g, spec, inst.search)
@@ -487,7 +583,8 @@ def arrows_vertices(g: Graph, spec: ArrowSpec,
     Decides the vertices in descending-degree order (ties by index), colors
     ascending.  A branch dies when a vertex completes a monochromatic
     forbidden clique or is left with no color; a vertex left with a single
-    color is forced to it.  A free coloring returned is the
+    color is forced to it, and a branch that an automorphism maps to a
+    smaller coloring is cut.  A free coloring returned is the
     lexicographically first in that order.
     """
     return _search(VertexInstance(g, spec), budget, None)
@@ -504,8 +601,10 @@ def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
     monochromatic forbidden clique is forced to it without a decision.  A
     branch is pruned when it completes such a clique or (for 2-color specs)
     when a vertex's same-color neighborhood contains a clique beyond the
-    Ramsey-derived cap.  A free coloring returned is the lexicographically
-    first in that order.  Runs in one process and is fully deterministic.
+    Ramsey-derived cap, or when an automorphism of G maps its partial
+    coloring to a smaller one.  A free coloring returned is the
+    lexicographically first in that order.  Runs in one process and is
+    fully deterministic.
     """
     if progress_every < 0:
         raise ValueError(f"progress interval must be >= 0, got {progress_every}")

@@ -9,10 +9,12 @@ verdict.  Standard output is machine-parseable key/value lines; progress
 goes to standard error.
 
 `certify` prints a bound only from evidence it checks itself: with no
-`--evidence` it runs the edge search on the graph and spec; with
-`--evidence` the file must be a solver UNSAT record whose `dimacs_sha256`
-matches a fresh `encode` of that graph and spec.  `arrows --evidence-out`
-files are run logs, not evidence.
+`--evidence` it runs the edge search on the graph and spec, within
+`--max-nodes`/`--max-seconds` if given (out of budget: exit 2 and no
+certificate); with `--evidence` the file must be a solver UNSAT record
+whose `dimacs_sha256` matches a fresh `encode` of that graph and spec, and
+the budget flags are refused.  `arrows --evidence-out` files are run logs,
+not evidence.
 """
 from __future__ import annotations
 
@@ -129,6 +131,7 @@ def _report_outcome(outcome: SearchOutcome, args) -> int:
     print(f"verdict {outcome.verdict.value}")
     print(f"nodes {outcome.stats.nodes}")
     print(f"propagations {outcome.stats.propagations}")
+    print(f"generators {outcome.stats.generators}")
     for cause, count in sorted(outcome.stats.prunings.items()):
         print(f"prunings.{cause} {count}")
     print(f"seconds {outcome.stats.seconds:.3f}", file=sys.stderr)
@@ -195,11 +198,18 @@ def cmd_decode(args) -> int:
 def cmd_certify(args) -> int:
     g = resolve_graph(args.graph)
     spec = ArrowSpec.parse(args.spec)
+    budget = _budget_from(args)
     if args.evidence:
+        if budget is not None:
+            raise CliError("--max-nodes and --max-seconds bound the search that "
+                           "certify runs without --evidence")
         evidence = json.loads(Path(args.evidence).read_text())
     else:
         bounds.check_bound_instance(g, spec, args.q)  # refuse before searching
-        evidence = arrows_edges(g, spec)
+        evidence = arrows_edges(g, spec, budget)
+        if evidence.verdict is Verdict.BUDGET_EXHAUSTED:
+            print(f"verdict {evidence.verdict.value}")
+            return EXIT_BUDGET
     cert = bound_certificate(g, spec, args.q, evidence)
     _dump_json(cert.to_json_obj(), args.output)
     if args.output:
@@ -219,6 +229,10 @@ def _add_budget_flags(p):
                    help="node budget")
     p.add_argument("--max-seconds", type=float, default=None,
                    help="wall-time budget")
+
+
+def _add_search_flags(p):
+    _add_budget_flags(p)
     p.add_argument("--no-bound-pruning", action="store_true",
                    help="disable Ramsey neighborhood-bound pruning (edge searches)")
     p.add_argument("--progress", type=int, default=0, metavar="N",
@@ -239,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["vertices", "edges"])
     p.add_argument("--graph", required=True)
     p.add_argument("--spec", required=True, help="a1,a2[,a3,a4]")
-    _add_budget_flags(p)
+    _add_search_flags(p)
     p.add_argument("--evidence-out", help="path for the arrows run record JSON")
     p.set_defaults(fn=cmd_arrows)
 
@@ -263,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evidence",
                    help="solver UNSAT record (JSON) with the encoded CNF's "
                         "dimacs_sha256; without it, certify runs the edge search")
+    _add_budget_flags(p)
     p.add_argument("-o", "--output", help="certificate path")
     p.set_defaults(fn=cmd_certify)
 

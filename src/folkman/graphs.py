@@ -351,3 +351,203 @@ def parse_graph6(text: str) -> Graph:
                 adj[v] |= 1 << u
             i += 1
     return Graph(n, tuple(adj))
+
+
+# --- automorphisms ----------------------------------------------------------
+
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """The classes of two or more mutual twins, ascending: x and y are twins
+    when adj[x] - {y} == adj[y] - {x}.  Twins share their open neighborhood
+    (non-adjacent twins) or their closed one (adjacent twins), and no vertex
+    has twins of both kinds, so the classes are disjoint.  Swapping two
+    twins is an automorphism."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v, row in enumerate(g.adj):
+        groups.setdefault((row, 0), []).append(v)
+        groups.setdefault((row | 1 << v, 1), []).append(v)
+    return sorted(vs for vs in groups.values() if len(vs) > 1)
+
+
+def _maps_edges(g: Graph, perm) -> bool:
+    # perm is an automorphism iff it carries every adjacency row onto the
+    # row of its image; only the bits of moved vertices change places.
+    moved = [u for u in range(g.n) if perm[u] != u]
+    moved_mask = mask_of(moved)
+    for v, row in enumerate(g.adj):
+        image = row & ~moved_mask
+        for u in moved:
+            if row >> u & 1:
+                image |= 1 << perm[u]
+        if image != g.adj[perm[v]]:
+            return False
+    return True
+
+
+def check_automorphism(g: Graph, perm) -> None:
+    """Raise RuntimeError unless `perm` (perm[v] = image of v) is a
+    permutation of 0..n-1 that maps edges onto edges."""
+    if sorted(perm) != list(range(g.n)):
+        raise RuntimeError(f"not a permutation of 0..{g.n - 1}: {perm}")
+    if not _maps_edges(g, perm):
+        raise RuntimeError(f"not an automorphism of the graph: {perm}")
+
+
+def _refine(adj, cells: list[int]) -> tuple[list[int], tuple]:
+    """Split the ordered cells (vertex bitmasks) until the partition is
+    equitable: within a cell every vertex has as many neighbors in each
+    cell.  A cell splits into parts by neighbor count, in ascending count,
+    in its place.  Returns the cells and the trace of splits, which, like
+    the cells, any relabelling of the graph carries along."""
+    trace = []
+    stable = False
+    while not stable:
+        stable = True
+        s = 0
+        while s < len(cells):
+            splitter = cells[s]
+            out = []
+            for i, cell in enumerate(cells):
+                if not cell & (cell - 1):
+                    out.append(cell)
+                    continue
+                parts: dict[int, int] = {}
+                m = cell
+                while m:
+                    b = m & -m
+                    m ^= b
+                    k = (adj[b.bit_length() - 1] & splitter).bit_count()
+                    parts[k] = parts.get(k, 0) | b
+                if len(parts) == 1:
+                    out.append(cell)
+                    continue
+                counts = sorted(parts)
+                out.extend(parts[k] for k in counts)
+                trace.append((s, i, tuple((k, parts[k].bit_count()) for k in counts)))
+                stable = False
+            cells = out
+            s += 1
+    return cells, tuple(trace)
+
+
+def _individualize(adj, cells: list[int], t: int, v: int) -> tuple[list[int], tuple]:
+    """Split vertex v off, first, from cell t and refine.  Returns the cells
+    and the new node's invariant: the trace and the cell sizes."""
+    split = [1 << v, cells[t] & ~(1 << v)]
+    cells, trace = _refine(adj, cells[:t] + split + cells[t + 1:])
+    return cells, (trace, tuple(c.bit_count() for c in cells))
+
+
+def _target(cells: list[int], twin_of: list[int]) -> int | None:
+    # The first non-singleton cell that is not a set of mutual twins.
+    for t, cell in enumerate(cells):
+        if cell & (cell - 1):
+            first = twin_of[(cell & -cell).bit_length() - 1]
+            if first < 0 or any(twin_of[v] != first for v in bits_of(cell)):
+                return t
+    return None
+
+
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent: list[int], x: int, y: int) -> None:
+    x, y = _find(parent, x), _find(parent, y)
+    if x != y:
+        parent[max(x, y)] = min(x, y)
+
+
+def _match_below(g: Graph, path, invariants, bottom, d: int, w: int):
+    """Search the subtree that individualizes w at level d of the first
+    path for a node at the bottom depth whose cells, matched in order and
+    in ascending vertex order to the bottom node's, give an automorphism;
+    a node whose invariant differs from the path's at its depth is cut."""
+    adj, k = g.adj, len(path)
+    stack = [(d, path[d][0], path[d][1], w)]
+    while stack:
+        j, cells, t, u = stack.pop()
+        cells, invariant = _individualize(adj, cells, t, u)
+        if invariant != invariants[j]:
+            continue
+        j += 1
+        if j < k:
+            t = path[j][1]
+            stack.extend((j, cells, t, x) for x in reversed(list(bits_of(cells[t]))))
+            continue
+        perm = [0] * g.n
+        for a, b in zip(bottom, cells):
+            for x, y in zip(bits_of(a), bits_of(b)):
+                perm[x] = y
+        if _maps_edges(g, perm):
+            return tuple(perm)
+    return None
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Vertex permutations (perm[v] = image of v) that generate Aut(G).
+
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", J. Symb. Comput. 60, 2014), iterative.  The first path
+    individualizes the lowest vertex of the first non-singleton cell of the
+    equitable partition that is not a set of mutual twins, and stops once
+    every non-singleton cell is one: all permutations of such cells are
+    automorphisms, and the adjacent transpositions within each twin class,
+    returned last, generate them.  Then, level by level from the bottom,
+    each vertex w of the level's target cell outside the orbit of the
+    path's vertex under the automorphisms known to fix the level's prefix
+    (those found so far and the twin swaps) is tried by `_match_below`; a
+    match is one more generator.  The generators found
+    at a level and below generate the stabilizer of the level's prefix, so
+    at level 0 they generate Aut(G).  Each permutation returned passes
+    `check_automorphism`.
+    """
+    n, adj = g.n, g.adj
+    classes = _twin_classes(g)
+    twin_of = [-1] * n
+    for i, cls in enumerate(classes):
+        for v in cls:
+            twin_of[v] = i
+    cells, _ = _refine(adj, [(1 << n) - 1])
+    path = []        # per level: (cells, target cell index, vertex split off)
+    invariants = []  # invariants[d]: of the path's node below level d
+    t = _target(cells, twin_of)
+    while t is not None:
+        v = (cells[t] & -cells[t]).bit_length() - 1
+        path.append((cells, t, v))
+        cells, invariant = _individualize(adj, cells, t, v)
+        invariants.append(invariant)
+        t = _target(cells, twin_of)
+    bottom = cells
+    # Union-find: orbits of the known automorphisms.  A twin swap may move
+    # a level's prefix, but a prefix vertex is never a candidate, and the
+    # swaps that avoid it already join the rest of its twin class.
+    parent = list(range(n))
+    for cls in classes:
+        for a, b in zip(cls, cls[1:]):
+            _union(parent, a, b)
+    found = []
+    for d in range(len(path) - 1, -1, -1):
+        cells, t, v = path[d]
+        failed = []  # one vertex of each orbit known to hold no image of v
+        for w in bits_of(cells[t]):
+            root = _find(parent, w)
+            if root == _find(parent, v) or any(_find(parent, x) == root for x in failed):
+                continue
+            perm = _match_below(g, path, invariants, bottom, d, w)
+            if perm is None:
+                failed.append(w)
+                continue
+            found.append(perm)
+            for x in range(n):
+                _union(parent, x, perm[x])
+    for cls in classes:
+        for a, b in zip(cls, cls[1:]):
+            perm = list(range(n))
+            perm[a], perm[b] = b, a
+            found.append(tuple(perm))
+    for perm in found:
+        check_automorphism(g, perm)
+    return found

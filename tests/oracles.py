@@ -4,7 +4,7 @@ Deliberately naive: subset filtering with itertools and vectorized full
 enumeration with numpy.  Nothing here shares code paths with the package's
 search or clique machinery.
 """
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import itemgetter
 
 import numpy as np
@@ -145,6 +145,44 @@ def brute_cnf_satisfiable(num_vars: int, clauses) -> bool:
         neg = dtype(sum(1 << (-lit - 1) for lit in cl if lit < 0))
         violated |= ((assigns & pos) == 0) & ((assigns & neg) == neg)
     return bool((~violated).any())
+
+
+def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
+    """Every vertex permutation p (p[v] = image of v) that maps edges onto
+    edges, by scanning all n! permutations; for n <= 7."""
+    assert g.n <= 7
+    es = edge_set(g)
+    return {p for p in permutations(range(g.n))
+            if all(tuple(sorted((p[u], p[v]))) in es for u, v in es)}
+
+
+def generated_group(n: int, gens) -> set[tuple[int, ...]]:
+    """The permutation group the permutations `gens` of 0..n-1 generate,
+    by closing the identity under composition."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for s in gens:
+                q = tuple(s[p[i]] for i in range(n))
+                if q not in group:
+                    group.add(q)
+                    fresh.append(q)
+        frontier = fresh
+    return group
+
+
+def relabelled(g: Graph, rng) -> Graph:
+    """g with its vertices renamed by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in edge_set(g)])
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    """a and b side by side, b's vertices after a's, with no edge between."""
+    return Graph(a.n + b.n, a.adj + tuple(row << a.n for row in b.adj))
 
 
 def random_graph(rng, n: int, p: float = 0.5, max_edges: int | None = None) -> Graph:

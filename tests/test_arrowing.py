@@ -4,16 +4,20 @@ import random
 
 import pytest
 
+from folkman import arrowing
 from folkman.arrowing import (ArrowInstance, ArrowSpec, ColoringError,
                               EdgeColoring, SearchBudget, Verdict,
-                              VertexColoring, arrows_edges, arrows_vertices,
+                              VertexColoring, VertexInstance, _search,
+                              arrows_edges, arrows_vertices,
                               is_free_edge_coloring, is_free_vertex_coloring,
                               ramsey_known, neighborhood_clique_bounds)
-from folkman.graphs import Graph, complete, cycle, edges, join
+from folkman.graphs import Graph, circulant, complete, cycle, edges, join
 from folkman.bounds import build_q, build_theorem_graph
+from folkman.cnf import decode_model, encode_edge_arrowing
 from oracles import (brute_arrows_edges, brute_arrows_edges_2color,
                      brute_arrows_vertices, brute_first_free_coloring,
-                     brute_first_free_vertex_coloring, random_graph)
+                     brute_first_free_vertex_coloring, disjoint_union,
+                     random_graph, relabelled)
 
 
 def pentagon_pentagram(k5: Graph) -> EdgeColoring:
@@ -101,9 +105,12 @@ def test_is_free_vertex_coloring():
 def test_arrows_vertices_q():
     out = arrows_vertices(build_q(), ArrowSpec((3, 4)))
     assert out.verdict is Verdict.ARROWS
-    # The counts pin the vertex search's order and propagation.
-    assert (out.stats.nodes, out.stats.propagations) == (72, 223)
-    assert out.stats.prunings == {"clique": 37}
+    # The counts pin the vertex search's order, propagation and symmetry
+    # test: two generators of Q's 52 automorphisms cut 3 branches (72 nodes
+    # and 223 propagations without them).
+    assert (out.stats.nodes, out.stats.propagations) == (54, 150)
+    assert out.stats.prunings == {"clique": 25, "symmetry": 3}
+    assert out.stats.generators == 2
 
 
 def test_arrows_vertices_pigeonhole():
@@ -129,20 +136,48 @@ def test_arrows_vertices_vs_bruteforce():
         assert (out.verdict is Verdict.ARROWS) == brute_arrows_vertices(g, spec.sizes)
 
 
+def symmetric_graphs(max_n: int, max_edges: int) -> list[Graph]:
+    """Circulants, K_a + C_b, C5 + C5 and disjoint unions within the size
+    limits, each as built and once relabelled."""
+    rng = random.Random(61)
+    c5 = cycle(5)
+    graphs = [circulant(n, offs) for n in range(4, 10)
+              for offs in ((1,), (2,), (1, 2), (1, n // 2), (2, n // 2))
+              if len(set(offs)) == len(offs) and max(offs) <= n // 2]
+    graphs += [join(complete(a), cycle(b)) for a in (1, 2, 3) for b in (3, 4, 5)]
+    graphs += [join(c5, c5), disjoint_union(c5, c5), disjoint_union(complete(3), c5),
+               disjoint_union(complete(3), complete(4)),
+               disjoint_union(complete(4), complete(4)),
+               disjoint_union(cycle(4), complete(3))]
+    graphs = [g for g in graphs if g.n <= max_n and g.edge_count <= max_edges]
+    return graphs + [relabelled(g, rng) for g in graphs]
+
+
 def test_arrows_vertices_witness_is_first_free_coloring():
     # The vertex search returns the lexicographically first free coloring
     # in its vertex order, colors ascending.  With a = 2 a color class must
     # be independent; that color is not banned outright, as it is for edges.
+    # Random graphs seldom have automorphisms, so symmetric ones are added
+    # to check the symmetry cut.
     rng = random.Random(43)
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(1, 8), p=rng.choice((0.3, 0.5, 0.8)))
+    graphs = [random_graph(rng, rng.randint(1, 8), p=rng.choice((0.3, 0.5, 0.8)))
+              for _ in range(60)]
+    # A free coloring found after a symmetry cut.
+    graphs.append(relabelled(disjoint_union(join(cycle(5), cycle(5)), complete(3)),
+                             random.Random(0)))
+    symmetry_cuts = 0
+    for g in graphs + symmetric_graphs(max_n=10, max_edges=45):
         order = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
         for sizes in ((2, 2), (2, 3), (3, 3), (3, 4), (2, 3, 4), (3, 3, 3), (4,)):
+            if len(sizes) == 3 and g.n > 8:
+                continue  # 3^n colorings for the oracle
             want = brute_first_free_vertex_coloring(g, sizes, order)
             out = arrows_vertices(g, ArrowSpec(sizes))
             assert (out.verdict is Verdict.ARROWS) == (want is None)
             got = None if out.witness is None else dict(enumerate(out.witness.colors))
             assert got == want, (edges(g), sizes)
+            symmetry_cuts += out.stats.prunings.get("symmetry", 0)
+    assert symmetry_cuts > 0
 
 
 def test_arrows_edges_thresholds_33():
@@ -155,7 +190,11 @@ def test_arrows_edges_thresholds_34():
     assert arrows_edges(complete(8), ArrowSpec((3, 4))).verdict is Verdict.FREE_COLORING
     out = arrows_edges(complete(9), ArrowSpec((3, 4)))
     assert out.verdict is Verdict.ARROWS
-    assert (out.stats.nodes, out.stats.propagations) == (21_458, 51_403)
+    # The 8 adjacent transpositions of S_9 cut the tree from 21,458 nodes
+    # and 51,403 propagations.
+    assert (out.stats.nodes, out.stats.propagations) == (98, 46)
+    assert out.stats.generators == 8
+    assert out.stats.prunings["symmetry"] == 27
 
 
 def test_arrows_edges_witness_sound():
@@ -193,10 +232,18 @@ def test_arrows_edges_witness_is_first_free_coloring():
     # The search returns the lexicographically first free coloring in its
     # edge order, colors ascending: pruning and propagation may only cut
     # subtrees that hold no free coloring.
+    # Random graphs seldom have automorphisms, so symmetric ones are added
+    # to check the symmetry cut.  Within the oracle's reach it cuts only
+    # ARROWS trees (K3+C3 = K6 here): these free colorings are found before
+    # any branch that an automorphism maps to a smaller one.
     rng = random.Random(41)
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(3, 7), p=0.6, max_edges=12)
+    graphs = [random_graph(rng, rng.randint(3, 7), p=0.6, max_edges=12)
+              for _ in range(200)]
+    symmetry_cuts = 0
+    for g in graphs + symmetric_graphs(max_n=10, max_edges=15):
         for sizes in ((2, 3), (3, 3), (3, 4), (3, 3, 3)):
+            if len(sizes) == 3 and g.edge_count > 12:
+                continue  # 3^m colorings for the oracle
             inst = ArrowInstance(g, ArrowSpec(sizes))
             want = brute_first_free_coloring(g, sizes,
                                              [inst.items[e] for e in inst.order])
@@ -206,6 +253,8 @@ def test_arrows_edges_witness_is_first_free_coloring():
                 got = None if out.witness is None else {
                     (u, v): c for u, v, c in out.witness.to_json_obj()}
                 assert got == want, (edges(g), sizes, pruning)
+                symmetry_cuts += out.stats.prunings.get("symmetry", 0)
+    assert symmetry_cuts > 0
 
 
 def test_arrows_edges_three_colors():
@@ -242,11 +291,21 @@ def test_arrows_edges_pruning_verdict_invariant():
 
 
 def test_arrows_edges_budget_exhaustion():
-    out = arrows_edges(complete(9), ArrowSpec((3, 4)),
+    # C5+C5+C5 -> (3,3) takes thousands of nodes; K9 -> (3,4) now takes 98.
+    c5 = cycle(5)
+    out = arrows_edges(join(c5, join(c5, c5)), ArrowSpec((3, 3)),
                        budget=SearchBudget(max_nodes=100))
     assert out.verdict is Verdict.BUDGET_EXHAUSTED
     assert out.witness is None
     assert out.stats.nodes <= 101
+
+
+def test_budget_refuses_non_finite_seconds():
+    # nan <= 0 is false, so a NaN budget was accepted and never ran out.
+    for seconds in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="max_seconds"):
+            SearchBudget(max_seconds=seconds)
+    assert SearchBudget(max_seconds=0.5).max_seconds == 0.5
 
 
 def test_arrows_vertices_budget_exhaustion():
@@ -265,12 +324,16 @@ def test_deterministic_witness_reproducible():
 
 def test_arrows_edges_search_pins():
     # Node, propagation and pruning counts and the witness pin the search
-    # itself: edge order, propagation, pruning tests and the first-edge
-    # symmetry cut.
+    # itself: edge order, propagation, pruning tests, the first-edge color
+    # swap and the automorphism test.  Without the automorphism test, K6
+    # took 19 nodes, 6 propagations and {"neighborhood": 10}, K1+C5+C5 93,
+    # 77 and {"neighborhood": 47}; K8 and C5+C5 find their witness before
+    # any symmetry cut, so their counts and the witness are unchanged.
     out = arrows_edges(complete(6), ArrowSpec((3, 3)))
     assert out.verdict is Verdict.ARROWS
-    assert (out.stats.nodes, out.stats.prunings) == (19, {"neighborhood": 10})
-    assert out.stats.propagations == 6
+    assert (out.stats.nodes, out.stats.prunings) == (
+        13, {"neighborhood": 5, "symmetry": 2})
+    assert (out.stats.propagations, out.stats.generators) == (5, 5)
     out = arrows_edges(complete(8), ArrowSpec((3, 4)))
     assert out.verdict is Verdict.FREE_COLORING
     assert (out.stats.nodes, out.stats.propagations) == (31, 17)
@@ -288,8 +351,9 @@ def test_arrows_edges_search_pins():
     out = arrows_edges(join(complete(1), c5c5), ArrowSpec((3, 3)),
                        budget=SearchBudget(max_nodes=10_000))
     assert out.verdict is Verdict.ARROWS
-    assert (out.stats.nodes, out.stats.propagations) == (93, 77)
-    assert out.stats.prunings == {"neighborhood": 47}
+    assert (out.stats.nodes, out.stats.propagations) == (73, 71)
+    assert out.stats.prunings == {"neighborhood": 31, "symmetry": 6}
+    assert out.stats.generators == 5
 
 
 def test_arrows_edges_deep_search_no_recursion_limit():
@@ -300,6 +364,70 @@ def test_arrows_edges_deep_search_no_recursion_limit():
     out = arrows_edges(g, ArrowSpec((3, 3)))
     assert out.verdict is Verdict.FREE_COLORING
     assert out.stats.nodes == 1024
+
+
+@pytest.mark.parametrize("kind,g,sizes", [
+    ("edges", complete(6), (3, 3)),
+    ("edges", join(complete(1), join(cycle(5), cycle(5))), (3, 3)),
+    ("edges", join(complete(3), join(cycle(5), cycle(5))), (3, 4)),
+    ("edges", complete(7), (3, 3, 3)),
+    ("edges", circulant(7, (1, 2, 3)), (3, 3, 3)),
+    ("vertices", build_q(), (3, 4)),
+    ("vertices", relabelled(disjoint_union(join(cycle(5), cycle(5)), complete(3)),
+                            random.Random(0)), (3, 4)),
+    ("vertices", complete(6), (2, 2, 3)),
+    ("vertices", complete(7), (3, 3, 3)),
+])
+def test_symmetry_cut_keeps_verdict_and_witness(kind, g, sizes):
+    # Without generators the search explores the full tree; the symmetry
+    # cut may only shrink it.  Each case here makes at least one cut.
+    spec = ArrowSpec(sizes)
+    bounds = neighborhood_clique_bounds(spec) if kind == "edges" and spec.r == 2 else None
+    make = ArrowInstance if kind == "edges" else VertexInstance
+    full = make(g, spec)
+    full.symmetries = ()
+    plain = _search(full, None, bounds)
+    cut = _search(make(g, spec), None, bounds)
+    assert cut.verdict is plain.verdict
+    assert (cut.witness is None) == (plain.witness is None)
+    if cut.witness is not None:
+        assert cut.witness.colors == plain.witness.colors
+    assert cut.stats.nodes <= plain.stats.nodes
+    assert cut.stats.prunings.get("symmetry", 0) > 0 and cut.stats.generators > 0
+    assert "symmetry" not in plain.stats.prunings and plain.stats.generators == 0
+
+
+def test_search_refuses_a_non_automorphism(monkeypatch):
+    # The hub 0 of the wheel K1+C5 has degree 5 and vertex 1 degree 3, so
+    # swapping them is no automorphism; the search must not use it.
+    wheel = join(complete(1), cycle(5))
+    monkeypatch.setattr(arrowing, "automorphism_generators",
+                        lambda g: [(1, 0) + tuple(range(2, g.n))])
+    with pytest.raises(RuntimeError, match="not an automorphism"):
+        ArrowInstance(wheel, ArrowSpec((3, 3))).symmetries
+    with pytest.raises(RuntimeError, match="not an automorphism"):
+        arrows_edges(wheel, ArrowSpec((3, 3)))
+    with pytest.raises(RuntimeError, match="not an automorphism"):
+        arrows_vertices(wheel, ArrowSpec((2, 3)))
+
+
+def test_only_the_search_finds_automorphisms(monkeypatch):
+    # Encoding, decoding and the free-coloring checks read the instance's
+    # cliques only; the automorphisms are built for the search.
+    def refuse(g):
+        raise AssertionError("automorphisms built outside the search")
+    monkeypatch.setattr(arrowing, "automorphism_generators", refuse)
+    k5, spec = complete(5), ArrowSpec((3, 3))
+    formula = encode_edge_arrowing(k5, spec)
+    assert formula.num_vars == 10
+    model = [e + 1 if c == 1 else -(e + 1)
+             for e, c in enumerate(pentagon_pentagram(k5).colors)]
+    coloring = decode_model(k5, spec, model)
+    assert is_free_edge_coloring(k5, spec, coloring) == (True, None)
+    ok, _ = is_free_vertex_coloring(k5, spec, VertexColoring(k5, (1, 1, 2, 2, 2)))
+    assert not ok
+    with pytest.raises(AssertionError, match="outside the search"):
+        arrows_edges(k5, spec)
 
 
 def test_non_free_witness_raises(monkeypatch):

@@ -56,7 +56,9 @@ def test_certificate_k6():
     assert obj["schema"] == "folkman-certificate/1"
     assert obj["evidence"]["kind"] == "native-search"
     assert obj["evidence"]["checked"] is True
-    assert obj["evidence"]["stats"]["nodes"] == 19
+    # 19 nodes before the symmetry cut; K6's 5 generators cut 2 branches.
+    assert obj["evidence"]["stats"]["nodes"] == 13
+    assert obj["evidence"]["stats"]["generators"] == 5
 
 
 def test_certificate_rejects_ineligible_clique():

@@ -83,8 +83,10 @@ def test_arrows_vertices_q_exit_0(capsys):
 
 
 def test_arrows_budget_exit_2(capsys):
-    code, out, _ = run(capsys, "arrows", "edges", "--graph", "K9",
-                       "--spec", "3,4", "--max-nodes", "100")
+    # K9 -> (3,4) now takes 98 nodes; the open K8+C5+C5 -> (3,5) takes
+    # millions.
+    code, out, _ = run(capsys, "arrows", "edges", "--graph", "lin-graph",
+                       "--spec", "3,5", "--max-nodes", "100")
     assert code == 2
     assert out_map(out)["verdict"] == "budget-exhausted"
 
@@ -156,7 +158,9 @@ def test_certify_pipeline_k6(capsys, tmp_path):
     assert cert["clique_number"] == 6
     evidence = cert["evidence"]
     assert (evidence["kind"], evidence["checked"]) == ("native-search", True)
-    assert (evidence["stats"]["nodes"], evidence["stats"]["propagations"]) == (19, 6)
+    # 19 nodes and 6 propagations before the symmetry cut.
+    assert (evidence["stats"]["nodes"], evidence["stats"]["propagations"]) == (13, 5)
+    assert evidence["stats"]["prunings"]["symmetry"] == 2
     # The search's own run record is a log: certify does not take it.
     record = tmp_path / "run.json"
     code, _, _ = run(capsys, "arrows", "edges", "--graph", "K6",
@@ -228,8 +232,10 @@ def test_no_bound_pruning_flag(capsys):
     kv = out_map(out)
     assert code == 0
     assert kv["verdict"] == "arrows"
-    assert kv["nodes"] == "19"
-    assert kv["prunings.clique"] == "10"
+    # 19 nodes and 10 clique cuts before the symmetry cut.
+    assert kv["nodes"] == "13"
+    assert kv["prunings.clique"] == "5"
+    assert kv["prunings.symmetry"] == "2"
     assert "prunings.neighborhood" not in kv
 
 
@@ -237,7 +243,7 @@ def test_progress_flag(capsys):
     code, out, err = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
                          "--progress", "5")
     assert code == 0
-    assert out_map(out)["nodes"] == "19"
+    assert out_map(out)["nodes"] == "13"  # 19 before the symmetry cut
     assert any(line.startswith("progress nodes=5 ") for line in err.splitlines())
     assert "progress" not in out
 
@@ -315,9 +321,13 @@ def test_propagations_reported(capsys, tmp_path):
                        "--evidence-out", str(evidence))
     kv = out_map(out)
     assert code == 0
-    assert (kv["nodes"], kv["propagations"]) == ("19", "6")
+    # 19 nodes and 6 propagations before the symmetry cut, which K6's 5
+    # generators (the adjacent transpositions of S_6) make twice.
+    assert (kv["nodes"], kv["propagations"]) == ("13", "5")
+    assert (kv["generators"], kv["prunings.symmetry"]) == ("5", "2")
     stats = json.loads(evidence.read_text())["stats"]
-    assert (stats["nodes"], stats["propagations"]) == (19, 6)
+    assert (stats["nodes"], stats["propagations"]) == (13, 5)
+    assert (stats["generators"], stats["prunings"]["symmetry"]) == (5, 2)
 
 
 @pytest.mark.parametrize("flags", [["--progress", "1"], ["--no-bound-pruning"],
@@ -331,6 +341,47 @@ def test_vertex_search_refuses_edge_only_flags(capsys, flags):
     assert out == ""
     assert err.startswith("error: ") and err.rstrip().endswith("edge searches only")
     assert "progress nodes" not in err
+
+
+def test_certify_budget(capsys, tmp_path):
+    # Without --evidence certify searches; the unsplit K8+Q search does not
+    # finish, so a budget turns a hang into exit 2 and no certificate.
+    cert_path = tmp_path / "cert.json"
+    for flags in (["--max-nodes", "200"], ["--max-seconds", "0.05"]):
+        code, out, err = run(capsys, "certify", "--graph", "theorem-graph",
+                             "--spec", "3,5", "--q", "13", "-o", str(cert_path), *flags)
+        assert code == 2
+        assert out == "verdict budget-exhausted\n"
+        assert not cert_path.exists()
+    # A budget the search fits in still certifies.
+    code, out, _ = run(capsys, "certify", "--graph", "K6", "--spec", "3,3", "--q", "7",
+                       "--max-nodes", "1000", "--max-seconds", "60")
+    assert code == 0
+    assert out_map(out)["bound"] == "F_e(3,3;7) <= 6"
+    code, out, _ = run(capsys, "certify", "--graph", "K6", "--spec", "3,3", "--q", "7",
+                       "--max-nodes", "5")
+    assert (code, out) == (2, "verdict budget-exhausted\n")
+
+
+def test_certify_refuses_budget_with_evidence(capsys, tmp_path):
+    # With --evidence nothing is searched, so a budget would mean nothing.
+    evidence = unsat_record(capsys, tmp_path, "K6", "3,3")
+    for flags in (["--max-nodes", "10"], ["--max-seconds", "5"]):
+        code, out, err = run(capsys, "certify", "--graph", "K6", "--spec", "3,3",
+                             "--q", "7", "--evidence", str(evidence), *flags)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: --max-nodes and --max-seconds")
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1"])
+def test_non_finite_time_budget_exits_3(capsys, seconds):
+    for argv in (["arrows", "edges", "--graph", "K6", "--spec", "3,3"],
+                 ["certify", "--graph", "K6", "--spec", "3,3", "--q", "7"]):
+        code, out, err = run(capsys, *argv, "--max-seconds", seconds)
+        assert code == 3
+        assert out == ""
+        assert "max_seconds must be positive and finite" in err
 
 
 def unsat_record(capsys, tmp_path, graph, spec, **keys):

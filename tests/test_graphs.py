@@ -5,12 +5,15 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from folkman.bounds import build_q
 from folkman.graphs import (Graph, GraphError, Graph6Error, complete, cycle,
                             circulant, complement, join, induced, neighborhood,
                             edges, has_clique, max_clique, clique_number,
                             independence_number, enumerate_cliques,
-                            parse_graph6, emit_graph6)
-from oracles import brute_cliques, brute_clique_number, random_graph
+                            parse_graph6, emit_graph6, automorphism_generators,
+                            check_automorphism)
+from oracles import (brute_automorphisms, brute_cliques, brute_clique_number,
+                     disjoint_union, generated_group, random_graph, relabelled)
 
 
 def test_complete():
@@ -238,3 +241,69 @@ def test_graph6_roundtrip_property(n, seed):
 def test_complement_duality_property(n, seed):
     g = random_graph(random.Random(seed), n)
     assert independence_number(g) == clique_number(complement(g))
+
+
+# --- automorphisms -------------------------------------------------------------
+
+def test_automorphism_generators_vs_brute_force():
+    # The generators generate exactly the automorphism group, on random
+    # graphs and on symmetric families (circulants, joins, disjoint unions,
+    # complete and edgeless graphs), as built and relabelled.
+    rng = random.Random(53)
+    families = [complete(n) for n in range(1, 8)]
+    families += [complement(complete(n)) for n in range(2, 8)]
+    families += [circulant(n, offs) for n in range(3, 8)
+                 for k in range(1, n // 2 + 1)
+                 for offs in combinations(range(1, n // 2 + 1), k)]
+    families += [join(complete(a), cycle(b)) for a in (1, 2, 3) for b in (3, 4)
+                 if a + b <= 7]
+    families += [join(cycle(3), cycle(4)), join(complement(complete(2)), cycle(5)),
+                 disjoint_union(cycle(3), cycle(4)), disjoint_union(cycle(3), cycle(3)),
+                 disjoint_union(complete(2), cycle(5)),
+                 disjoint_union(complete(3), complete(3))]
+    graphs = families + [relabelled(g, rng) for g in families]
+    graphs += [random_graph(rng, rng.randint(1, 7), p=rng.choice((0.2, 0.5, 0.8)))
+               for _ in range(200)]
+    assert len(graphs) >= 250
+    for g in graphs:
+        gens = automorphism_generators(g)
+        for perm in gens:
+            check_automorphism(g, perm)
+        assert generated_group(g.n, gens) == brute_automorphisms(g), edges(g)
+
+
+@pytest.mark.parametrize("name,order", [("Q", 52), ("K2+Q", 104),
+                                        ("K3+C5+C5", 1200), ("C5+C5+C5", 6000)])
+def test_automorphism_group_orders(name, order):
+    # Aut(Q) is the 13 rotations times the 4 multipliers {1, 5, 8, 12} of
+    # the circulant.  A join's group is its parts' groups together with the
+    # swaps of isomorphic parts (K_n is n joined K1s): K2+Q 2! * 52,
+    # K3+C5+C5 3! * 10^2 * 2!, C5+C5+C5 10^3 * 3!, under any labelling.
+    q, c5 = build_q(), cycle(5)
+    g = {"Q": q, "K2+Q": join(complete(2), q),
+         "K3+C5+C5": join(complete(3), join(c5, c5)),
+         "C5+C5+C5": join(c5, join(c5, c5))}[name]
+    rng = random.Random(59)
+    for h in (g, relabelled(g, rng), relabelled(g, rng)):
+        assert len(generated_group(h.n, automorphism_generators(h))) == order
+
+
+def test_automorphism_generators_twin_classes():
+    # Every vertex of K_n is a twin of every other: the generators are the
+    # adjacent transpositions, with no search.
+    gens = automorphism_generators(complete(128))
+    assert gens == [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, 128))
+                    for i in range(127)]
+    # K32,32: the twin swaps within each side and one swap of the sides.
+    g = Graph.from_edges(64, [(u, 32 + v) for u in range(32) for v in range(32)])
+    gens = automorphism_generators(g)
+    assert len(gens) == 63
+    assert any(perm[0] >= 32 for perm in gens)
+
+
+def test_check_automorphism_raises():
+    c4 = cycle(4)
+    check_automorphism(c4, (1, 2, 3, 0))
+    for perm in [(1, 0, 2, 3), (0, 1, 2), (0, 0, 1, 2)]:
+        with pytest.raises(RuntimeError):
+            check_automorphism(c4, perm)
