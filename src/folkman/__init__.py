@@ -1,10 +1,9 @@
 """Ramsey arrowing and Folkman-number bound verification toolkit."""
 
 from .graphs import (Graph, GraphError, Graph6Error, complete, cycle,
-                     circulant, complement, join, induced, neighborhood,
-                     edges, max_clique, clique_number, max_independent_set,
-                     independence_number, enumerate_cliques, parse_graph6,
-                     emit_graph6)
+                     circulant, complement, join, induced, edges, max_clique,
+                     clique_number, max_independent_set, independence_number,
+                     enumerate_cliques, parse_graph6, emit_graph6)
 from .arrowing import (ArrowSpec, EdgeColoring, VertexColoring, Verdict,
                        SearchBudget, SearchOutcome, ColoringError,
                        is_free_edge_coloring, is_free_vertex_coloring,

@@ -143,8 +143,8 @@ class SearchBudget:
                              f"got {self.max_seconds}")
 
     def exceeded(self, nodes: int, start: float) -> bool:
-        """Has a search that started at `start` (monotonic clock) and has
-        visited `nodes` nodes run out?  The clock is read every 1024 nodes."""
+        """May a search that started at `start` (monotonic clock) and has
+        tried `nodes` nodes try no more?  The clock is read every 1024 nodes."""
         if self.max_nodes is not None and nodes >= self.max_nodes:
             return True
         return (self.max_seconds is not None and nodes % 1024 == 0
@@ -189,8 +189,8 @@ class ArrowInstance:
     id is an index into it.  `cliques[i]` holds every forbidden clique of
     color i+1, in lexicographic order, as (clique, ascending item ids, item
     bitmask); that order fixes the CNF clause order and which violation is
-    reported first.  The search-only indexes `by_edge`, `order` and
-    `symmetries` are built on first use, so encoding, decoding and the
+    reported first.  The search-only indexes `by_edge`, `order`, `bounds`
+    and `symmetries` are built on first use, so encoding, decoding and the
     free-coloring check never pay for them.
     """
 
@@ -245,6 +245,13 @@ class ArrowInstance:
                 count[e] += 1
         return sorted(range(len(self.items)), key=lambda e: -count[e])
 
+    @cached_property
+    def bounds(self) -> tuple[int, int] | None:
+        """Per-color caps on the clique number of a vertex's same-color
+        neighborhood, `neighborhood_clique_bounds(spec)`, for 2-color specs;
+        None, and no neighborhood test in the search, otherwise."""
+        return neighborhood_clique_bounds(self.spec) if self.spec.r == 2 else None
+
     def _item_image(self, perm) -> dict[int, int]:
         # Item -> image item under the vertex permutation perm, for the
         # items on the vertices it moves.
@@ -288,9 +295,11 @@ class ArrowInstance:
 
 class VertexInstance(ArrowInstance):
     """The vertex-arrowing question: the items are the vertices 0..n-1, so
-    a clique's item ids are its own vertices."""
+    a clique's item ids are its own vertices.  The neighborhood caps are
+    about edge colorings, so `bounds` is None."""
 
     search = "vertices"
+    bounds = None
 
     def _items(self):
         return range(self.g.n)
@@ -371,9 +380,11 @@ def neighborhood_clique_bounds(spec: ArrowSpec) -> tuple[int, int] | None:
 # --- the search --------------------------------------------------------------
 
 def _search(inst: ArrowInstance, budget: SearchBudget | None,
-            bounds: tuple[int, int] | None, progress_every: int = 0) -> SearchOutcome:
+            progress_every: int = 0) -> SearchOutcome:
     """Backtracking over colorings of `inst.items` with unit propagation;
-    both the vertex and the edge search are this loop.
+    both the vertex and the edge search are this loop.  Every prune it
+    makes is read from `inst`: the forbidden cliques, the neighborhood
+    `bounds` and the `symmetries`.
 
     Decisions take the items in `inst.order`, colors ascending, and skip an
     item that propagation has already colored.  `dom[e]` is the bitmask of
@@ -383,7 +394,7 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     all items of such a clique but one uncolored item f have color c, c
     leaves f's domain.  An empty domain is a conflict; a single color left
     forces f to it at once, and forcing cascades within the same decision.
-    With neighborhood `bounds` (edge searches, 2 colors), every edge
+    With `inst.bounds` set (edge searches, 2 colors), every edge
     assignment, decided or forced, also passes the neighborhood test when
     its cliques are visited.  Propagation only cuts subtrees that hold no
     free coloring.
@@ -409,11 +420,15 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     with the items they wait on.
 
     `nodes` counts colors tried at decisions; each is either pruned, for
-    one cause, or entered.  `propagations` counts forced assignments.  A
-    free coloring found is checked against the instance before it is
-    returned."""
+    one cause, or entered.  The budget is checked before a color is tried,
+    so a node budget of N tries N.  `propagations` counts forced
+    assignments.  With `progress_every` N > 0 a progress line goes to
+    standard error every N nodes.  A free coloring found is checked against
+    the instance before it is returned."""
+    if progress_every < 0:
+        raise ValueError(f"progress interval must be >= 0, got {progress_every}")
     g, spec = inst.g, inst.spec
-    elist, order = inst.items, inst.order
+    elist, order, bounds = inst.items, inst.order, inst.bounds
     by_edge = (None,) + inst.by_edge  # indexed by color
     adj, n, m, r = g.adj, g.n, len(elist), spec.r
 
@@ -466,15 +481,15 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
                 while len(trail) > mark:
                     e, old = trail.pop()
                     dom[e] = old
+            if budget is not None and budget.exceeded(nodes, start):
+                verdict = Verdict.BUDGET_EXHAUSTED
+                break
             c += 1
             frame[1] = c
             nodes += 1
             if progress_every and nodes % progress_every == 0:
                 print(f"progress nodes={nodes} depth={depth} "
                       f"prunings={stats.prunings}", file=sys.stderr)
-            if budget is not None and budget.exceeded(nodes, start):
-                verdict = Verdict.BUDGET_EXHAUSTED
-                break
             eid = order[depth]
             if not dom[eid] >> c & 1:
                 stats.bump("clique")
@@ -576,8 +591,8 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     return SearchOutcome(verdict, coloring(g, colors), stats, g, spec, inst.search)
 
 
-def arrows_vertices(g: Graph, spec: ArrowSpec,
-                    budget: SearchBudget | None = None) -> SearchOutcome:
+def arrows_vertices(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
+                    progress_every: int = 0) -> SearchOutcome:
     """Exhaustive backtracking over vertex colorings, with unit propagation.
 
     Decides the vertices in descending-degree order (ties by index), colors
@@ -585,13 +600,13 @@ def arrows_vertices(g: Graph, spec: ArrowSpec,
     forbidden clique or is left with no color; a vertex left with a single
     color is forced to it, and a branch that an automorphism maps to a
     smaller coloring is cut.  A free coloring returned is the
-    lexicographically first in that order.
+    lexicographically first in that order.  With `progress_every` N > 0, a
+    progress line goes to standard error every N nodes.
     """
-    return _search(VertexInstance(g, spec), budget, None)
+    return _search(VertexInstance(g, spec), budget, progress_every)
 
 
 def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
-                 neighborhood_pruning: bool = True,
                  progress_every: int = 0) -> SearchOutcome:
     """Exhaustive pruned backtracking over edge colorings, with unit
     propagation.
@@ -604,11 +619,7 @@ def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
     Ramsey-derived cap, or when an automorphism of G maps its partial
     coloring to a smaller one.  A free coloring returned is the
     lexicographically first in that order.  Runs in one process and is
-    fully deterministic.
+    fully deterministic.  With `progress_every` N > 0, a progress line goes
+    to standard error every N nodes.
     """
-    if progress_every < 0:
-        raise ValueError(f"progress interval must be >= 0, got {progress_every}")
-    bounds = None
-    if neighborhood_pruning and spec.r == 2:
-        bounds = neighborhood_clique_bounds(spec)
-    return _search(ArrowInstance(g, spec), budget, bounds, progress_every)
+    return _search(ArrowInstance(g, spec), budget, progress_every)

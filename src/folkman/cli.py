@@ -44,6 +44,7 @@ class _Parser(argparse.ArgumentParser):
     # BudgetExhausted exit code; remap.
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -152,19 +153,8 @@ def _report_outcome(outcome: SearchOutcome, args) -> int:
 def cmd_arrows(args) -> int:
     g = resolve_graph(args.graph)
     spec = ArrowSpec.parse(args.spec)
-    budget = _budget_from(args)
-    if args.kind == "vertices":
-        flags = [flag for flag, on in (("--progress", args.progress),
-                                       ("--no-bound-pruning", args.no_bound_pruning))
-                 if on]
-        if flags:
-            raise CliError(f"{' and '.join(flags)}: edge searches only")
-        outcome = arrows_vertices(g, spec, budget)
-    else:
-        outcome = arrows_edges(g, spec, budget,
-                               neighborhood_pruning=not args.no_bound_pruning,
-                               progress_every=args.progress)
-    return _report_outcome(outcome, args)
+    search = arrows_vertices if args.kind == "vertices" else arrows_edges
+    return _report_outcome(search(g, spec, _budget_from(args), args.progress), args)
 
 
 def cmd_encode(args) -> int:
@@ -233,10 +223,8 @@ def _add_budget_flags(p):
 
 def _add_search_flags(p):
     _add_budget_flags(p)
-    p.add_argument("--no-bound-pruning", action="store_true",
-                   help="disable Ramsey neighborhood-bound pruning (edge searches)")
     p.add_argument("--progress", type=int, default=0, metavar="N",
-                   help="print progress to stderr every N nodes (edge searches)")
+                   help="print progress to stderr every N nodes")
     p.add_argument("--witness", help="path for the free-coloring witness JSON")
 
 

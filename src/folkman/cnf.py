@@ -112,13 +112,15 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 
 def parse_model(text: str) -> list[int]:
-    """SAT-competition model output: literals from 'v ' lines, 0-terminated."""
+    """SAT-competition model output: literals from 'v ' lines, 0-terminated.
+    The model of a formula with no variables is empty: a lone `v 0`."""
     lits: list[int] = []
-    done = False
+    seen = done = False
     for line in text.splitlines():
         line = line.strip()
         if not line.startswith("v"):
             continue
+        seen = True
         for tok in line[1:].split():
             lit = int(tok)
             if lit == 0:
@@ -127,7 +129,7 @@ def parse_model(text: str) -> list[int]:
             lits.append(lit)
         if done:
             break
-    if not lits:
+    if not seen:
         raise CnfError("no 'v' model lines found")
     return lits
 

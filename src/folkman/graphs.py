@@ -161,12 +161,6 @@ def induced(g: Graph, members) -> Graph:
     return Graph(len(vs), tuple(adj))
 
 
-def neighborhood(g: Graph, v: int) -> frozenset[int]:
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range for n={g.n}")
-    return frozenset(bits_of(g.adj[v]))
-
-
 def bits_of(mask: int):
     """Iterate set bit positions in ascending order."""
     while mask:

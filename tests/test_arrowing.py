@@ -20,6 +20,13 @@ from oracles import (brute_arrows_edges, brute_arrows_edges_2color,
                      random_graph, relabelled)
 
 
+def unbounded(g: Graph, spec: ArrowSpec) -> ArrowInstance:
+    """The edge instance with no neighborhood test in its search."""
+    inst = ArrowInstance(g, spec)
+    inst.bounds = None
+    return inst
+
+
 def pentagon_pentagram(k5: Graph) -> EdgeColoring:
     # Classical R(3,3) > 5 witness: 5-cycle blue, diagonals red.
     ring = {(i, (i + 1) % 5) for i in range(5)}
@@ -244,15 +251,16 @@ def test_arrows_edges_witness_is_first_free_coloring():
         for sizes in ((2, 3), (3, 3), (3, 4), (3, 3, 3)):
             if len(sizes) == 3 and g.edge_count > 12:
                 continue  # 3^m colorings for the oracle
-            inst = ArrowInstance(g, ArrowSpec(sizes))
+            spec = ArrowSpec(sizes)
+            inst = ArrowInstance(g, spec)
             want = brute_first_free_coloring(g, sizes,
                                              [inst.items[e] for e in inst.order])
-            for pruning in (True, False):
-                out = arrows_edges(g, ArrowSpec(sizes), neighborhood_pruning=pruning)
+            for pruned, out in ((True, arrows_edges(g, spec)),
+                                (False, _search(unbounded(g, spec), None))):
                 assert (out.verdict is Verdict.ARROWS) == (want is None)
                 got = None if out.witness is None else {
                     (u, v): c for u, v, c in out.witness.to_json_obj()}
-                assert got == want, (edges(g), sizes, pruning)
+                assert got == want, (edges(g), sizes, pruned)
                 symmetry_cuts += out.stats.prunings.get("symmetry", 0)
     assert symmetry_cuts > 0
 
@@ -282,12 +290,25 @@ def test_arrows_edges_monotone_under_edge_addition():
 
 def test_arrows_edges_pruning_verdict_invariant():
     rng = random.Random(31)
+    neighborhood_cuts = 0
     for _ in range(25):
         g = random_graph(rng, rng.randint(4, 7))
         for spec in (ArrowSpec((3, 3)), ArrowSpec((3, 4))):
-            a = arrows_edges(g, spec, neighborhood_pruning=True)
-            b = arrows_edges(g, spec, neighborhood_pruning=False)
+            a = arrows_edges(g, spec)
+            b = _search(unbounded(g, spec), None)
             assert a.verdict == b.verdict
+            assert "neighborhood" not in b.stats.prunings
+            neighborhood_cuts += a.stats.prunings.get("neighborhood", 0)
+    assert neighborhood_cuts > 0
+
+
+def test_instance_decides_the_neighborhood_test():
+    # 2-color edge instances carry the Ramsey caps; 3-color and vertex
+    # instances carry none, so their searches make no neighborhood cut.
+    k6 = complete(6)
+    assert ArrowInstance(k6, ArrowSpec((3, 5))).bounds == (4, 8)
+    assert ArrowInstance(k6, ArrowSpec((3, 3, 3))).bounds is None
+    assert VertexInstance(k6, ArrowSpec((3, 3))).bounds is None
 
 
 def test_arrows_edges_budget_exhaustion():
@@ -297,7 +318,22 @@ def test_arrows_edges_budget_exhaustion():
                        budget=SearchBudget(max_nodes=100))
     assert out.verdict is Verdict.BUDGET_EXHAUSTED
     assert out.witness is None
-    assert out.stats.nodes <= 101
+    assert out.stats.nodes == 100
+
+
+@pytest.mark.parametrize("search,g,sizes,nodes", [
+    (arrows_edges, complete(6), (3, 3), 13),
+    (arrows_vertices, build_q(), (3, 4), 54),
+])
+def test_node_budget_is_exact(search, g, sizes, nodes):
+    # A budget of N nodes tries N: it is checked before a node is counted,
+    # so a search that takes exactly N nodes finishes within it.
+    spec = ArrowSpec(sizes)
+    out = search(g, spec, SearchBudget(max_nodes=nodes))
+    assert (out.verdict, out.stats.nodes) == (Verdict.ARROWS, nodes)
+    for cap in (nodes - 1, 1):
+        out = search(g, spec, SearchBudget(max_nodes=cap))
+        assert (out.verdict, out.stats.nodes) == (Verdict.BUDGET_EXHAUSTED, cap)
 
 
 def test_budget_refuses_non_finite_seconds():
@@ -334,6 +370,12 @@ def test_arrows_edges_search_pins():
     assert (out.stats.nodes, out.stats.prunings) == (
         13, {"neighborhood": 5, "symmetry": 2})
     assert (out.stats.propagations, out.stats.generators) == (5, 5)
+    # Without the neighborhood test the clique checks make up the cuts.
+    out = _search(unbounded(complete(6), ArrowSpec((3, 3))), None)
+    assert out.verdict is Verdict.ARROWS
+    assert (out.stats.nodes, out.stats.prunings) == (
+        13, {"clique": 5, "symmetry": 2})
+    assert (out.stats.propagations, out.stats.generators) == (15, 5)
     out = arrows_edges(complete(8), ArrowSpec((3, 4)))
     assert out.verdict is Verdict.FREE_COLORING
     assert (out.stats.nodes, out.stats.propagations) == (31, 17)
@@ -382,12 +424,11 @@ def test_symmetry_cut_keeps_verdict_and_witness(kind, g, sizes):
     # Without generators the search explores the full tree; the symmetry
     # cut may only shrink it.  Each case here makes at least one cut.
     spec = ArrowSpec(sizes)
-    bounds = neighborhood_clique_bounds(spec) if kind == "edges" and spec.r == 2 else None
     make = ArrowInstance if kind == "edges" else VertexInstance
     full = make(g, spec)
     full.symmetries = ()
-    plain = _search(full, None, bounds)
-    cut = _search(make(g, spec), None, bounds)
+    plain = _search(full, None)
+    cut = _search(make(g, spec), None)
     assert cut.verdict is plain.verdict
     assert (cut.witness is None) == (plain.witness is None)
     if cut.witness is not None:

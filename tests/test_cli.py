@@ -92,8 +92,20 @@ def test_arrows_budget_exit_2(capsys):
 
 
 def test_usage_error_exit_3(capsys):
-    assert main(["arrows", "edges", "--graph", "K6"]) == 3  # missing --spec
-    assert main(["nonsense"]) == 3
+    # The usage line, then what is wrong with it.
+    k6 = ["arrows", "edges", "--graph", "K6"]
+    for argv, message in [
+            (k6, "the following arguments are required: --spec"),
+            (k6 + ["--spec", "3,3", "--bogus"], "unrecognized arguments: --bogus"),
+            (k6 + ["--spec", "3,3", "--max-nodes", "abc"],
+             "argument --max-nodes: invalid int value"),
+            (["nonsense"], "invalid choice")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("usage: folkman")
+        last = err.rstrip().splitlines()[-1]
+        assert last.startswith("error: ") and message in last, argv
 
 
 def test_encode_k3(capsys):
@@ -227,16 +239,13 @@ def test_deterministic_outputs_byte_identical(capsys, tmp_path):
 
 
 def test_no_bound_pruning_flag(capsys):
-    code, out, _ = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
-                       "--no-bound-pruning")
-    kv = out_map(out)
-    assert code == 0
-    assert kv["verdict"] == "arrows"
-    # 19 nodes and 10 clique cuts before the symmetry cut.
-    assert kv["nodes"] == "13"
-    assert kv["prunings.clique"] == "5"
-    assert kv["prunings.symmetry"] == "2"
-    assert "prunings.neighborhood" not in kv
+    # The neighborhood test is the instance's to decide, not a flag's: a
+    # script that passes --no-bound-pruning is told what is wrong.
+    code, out, err = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
+                         "--no-bound-pruning")
+    assert code == 3
+    assert out == ""
+    assert err.rstrip().endswith("error: unrecognized arguments: --no-bound-pruning")
 
 
 def test_progress_flag(capsys):
@@ -250,11 +259,12 @@ def test_progress_flag(capsys):
 
 def test_progress_refuses_negative_interval(capsys):
     # `nodes % -1 == 0` would print a progress line at every node.
-    code, out, err = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
-                         "--progress", "-1")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ") and "progress nodes" not in err
+    for kind in ("edges", "vertices"):
+        code, out, err = run(capsys, "arrows", kind, "--graph", "K6",
+                             "--spec", "3,3", "--progress", "-1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "progress nodes" not in err
 
 
 def test_certify_refuses_vertex_search_record(capsys, tmp_path):
@@ -330,17 +340,28 @@ def test_propagations_reported(capsys, tmp_path):
     assert (stats["generators"], stats["prunings"]["symmetry"]) == (5, 2)
 
 
-@pytest.mark.parametrize("flags", [["--progress", "1"], ["--no-bound-pruning"],
-                                   ["--progress", "1", "--no-bound-pruning"]])
-def test_vertex_search_refuses_edge_only_flags(capsys, flags):
-    # The vertex search has no progress report and no neighborhood pruning,
-    # so these flags are refused there instead of being silently ignored.
+def test_vertex_search_progress(capsys):
+    # Both searches are one loop, so both report progress.
     code, out, err = run(capsys, "arrows", "vertices", "--graph", "q",
-                         "--spec", "3,4", *flags)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ") and err.rstrip().endswith("edge searches only")
-    assert "progress nodes" not in err
+                         "--spec", "3,4", "--progress", "5")
+    assert code == 0
+    assert out_map(out)["nodes"] == "54"
+    assert any(line.startswith("progress nodes=5 ") for line in err.splitlines())
+    assert "progress" not in out
+
+
+def test_empty_formula_round_trip(capsys, tmp_path):
+    # Two vertices and no edge: no variable and no clause, so every
+    # coloring is free and the formula's one model is empty.
+    code, out, _ = run(capsys, "encode", "--graph", "A?", "--spec", "3,3")
+    assert code == 0 and "p cnf 0 0" in out.splitlines()
+    code, out, _ = run(capsys, "arrows", "edges", "--graph", "A?", "--spec", "3,3")
+    assert code == 1 and out_map(out)["verdict"] == "free-coloring"
+    model_path = tmp_path / "model.txt"
+    model_path.write_text("s SATISFIABLE\nv 0\n")
+    code, out, _ = run(capsys, "decode", "--graph", "A?", "--spec", "3,3",
+                       "--model", str(model_path))
+    assert code == 0 and out_map(out)["verdict"] == "free-coloring"
 
 
 def test_certify_budget(capsys, tmp_path):

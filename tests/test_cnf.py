@@ -149,6 +149,8 @@ def test_decode_model_rejects_foreign_model():
 def test_parse_model():
     text = "c comment\ns SATISFIABLE\nv 1 -2 3\nv -4 0\n"
     assert parse_model(text) == [1, -2, 3, -4]
+    # The empty model of a formula with no variables.
+    assert parse_model("s SATISFIABLE\nv 0\n") == []
     with pytest.raises(CnfError):
         parse_model("s UNSATISFIABLE\n")
 

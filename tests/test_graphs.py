@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from folkman.bounds import build_q
 from folkman.graphs import (Graph, GraphError, Graph6Error, complete, cycle,
-                            circulant, complement, join, induced, neighborhood,
-                            edges, has_clique, max_clique, clique_number,
+                            circulant, complement, join, induced, edges,
+                            has_clique, max_clique, clique_number,
                             independence_number, enumerate_cliques,
                             parse_graph6, emit_graph6, automorphism_generators,
                             check_automorphism)
@@ -103,15 +103,6 @@ def test_induced_relabeling_order():
     g = Graph.from_edges(5, [(1, 3), (3, 4)])
     h = induced(g, {1, 3, 4})
     assert h.has_edge(0, 1) and h.has_edge(1, 2) and not h.has_edge(0, 2)
-
-
-def test_neighborhood():
-    assert neighborhood(complete(8), 0) == frozenset(range(1, 8))
-    assert neighborhood(cycle(5), 0) == frozenset({1, 4})
-    with pytest.raises(GraphError):
-        neighborhood(cycle(5), 5)
-    j = join(cycle(5), complete(3))
-    assert all(len(neighborhood(j, v)) >= 3 for v in range(5))
 
 
 def test_graph_validation():
