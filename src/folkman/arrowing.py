@@ -20,7 +20,6 @@ import enum
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -33,13 +32,14 @@ class ColoringError(ValueError):
     """Partial or out-of-range coloring."""
 
 
-@dataclass(frozen=True)
 class ArrowSpec:
-    """Clique sizes (a_1,...,a_r) to avoid, one per color; colors are 1-based."""
+    """Clique sizes (a_1,...,a_r) to avoid, one per color; colors are 1-based.
+    Two specs are equal, and hash alike, when their sizes are."""
 
-    sizes: tuple[int, ...]
+    __slots__ = ("sizes",)
 
-    def __post_init__(self):
+    def __init__(self, sizes: tuple[int, ...]):
+        self.sizes = sizes
         if not 1 <= len(self.sizes) <= 4:
             raise ValueError(f"spec arity {len(self.sizes)} outside 1..4")
         if any(a < 2 for a in self.sizes):
@@ -56,15 +56,26 @@ class ArrowSpec:
     def __str__(self):
         return ",".join(map(str, self.sizes))
 
+    def __eq__(self, other):
+        if not isinstance(other, ArrowSpec):
+            return NotImplemented
+        return self.sizes == other.sizes
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(self.sizes)
+
+    def __repr__(self):
+        return f"ArrowSpec({self.sizes!r})"
+
+
 class EdgeColoring:
     """Total color assignment on E(host), aligned to the canonical edge list."""
 
-    host: Graph
-    colors: tuple[int, ...]
+    __slots__ = ("host", "colors")
 
-    def __post_init__(self):
+    def __init__(self, host: Graph, colors: tuple[int, ...]):
+        self.host = host
+        self.colors = colors
         if len(self.colors) != self.host.edge_count:
             raise ColoringError(
                 f"{len(self.colors)} colors for {self.host.edge_count} edges")
@@ -88,14 +99,14 @@ class EdgeColoring:
         return EdgeColoring(host, tuple(want[e] for e in edges(host)))
 
 
-@dataclass(frozen=True)
 class VertexColoring:
     """Total color assignment on V(host)."""
 
-    host: Graph
-    colors: tuple[int, ...]
+    __slots__ = ("host", "colors")
 
-    def __post_init__(self):
+    def __init__(self, host: Graph, colors: tuple[int, ...]):
+        self.host = host
+        self.colors = colors
         if len(self.colors) != self.host.n:
             raise ColoringError(f"{len(self.colors)} colors for {self.host.n} vertices")
 
@@ -106,19 +117,26 @@ class Verdict(enum.Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass
 class SearchStats:
     """`nodes`: colors tried at decisions, what a node budget bounds.
     `propagations`: items (edges or vertices) colored by propagation.
     `generators`: automorphisms the symmetry test used.
     `prunings`: tried colors cut, by cause ("clique", "neighborhood",
-    "symmetry")."""
+    "symmetry").
+    `setup_seconds`: building the instance and its search index (forbidden
+    cliques, `by_edge`, `order`, `symmetries`); `seconds`: the search loop
+    after it."""
 
-    nodes: int = 0
-    propagations: int = 0
-    generators: int = 0
-    prunings: dict[str, int] = field(default_factory=dict)
-    seconds: float = 0.0
+    __slots__ = ("nodes", "propagations", "generators", "prunings",
+                 "setup_seconds", "seconds")
+
+    def __init__(self):
+        self.nodes = 0
+        self.propagations = 0
+        self.generators = 0
+        self.prunings: dict[str, int] = {}
+        self.setup_seconds = 0.0
+        self.seconds = 0.0
 
     def bump(self, cause: str):
         self.prunings[cause] = self.prunings.get(cause, 0) + 1
@@ -126,15 +144,16 @@ class SearchStats:
     def to_json_obj(self) -> dict:
         return {"nodes": self.nodes, "propagations": self.propagations,
                 "generators": self.generators, "prunings": self.prunings,
+                "setup_seconds": round(self.setup_seconds, 3),
                 "seconds": round(self.seconds, 3)}
 
 
-@dataclass(frozen=True)
 class SearchBudget:
-    max_nodes: int | None = None
-    max_seconds: float | None = None
+    __slots__ = ("max_nodes", "max_seconds")
 
-    def __post_init__(self):
+    def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
+        self.max_nodes = max_nodes
+        self.max_seconds = max_seconds
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
         if self.max_seconds is not None and not (math.isfinite(self.max_seconds)
@@ -151,17 +170,20 @@ class SearchBudget:
                 and time.monotonic() - start > self.max_seconds)
 
 
-@dataclass
 class SearchOutcome:
     """The verdict of one search and the instance it decided: `search` is
     "edges" or "vertices"."""
 
-    verdict: Verdict
-    witness: EdgeColoring | VertexColoring | None
-    stats: SearchStats
-    graph: Graph
-    spec: ArrowSpec
-    search: str
+    __slots__ = ("verdict", "witness", "stats", "graph", "spec", "search")
+
+    def __init__(self, verdict: Verdict, witness: EdgeColoring | VertexColoring | None,
+                 stats: SearchStats, graph: Graph, spec: ArrowSpec, search: str):
+        self.verdict = verdict
+        self.witness = witness
+        self.stats = stats
+        self.graph = graph
+        self.spec = spec
+        self.search = search
 
     def to_json_obj(self) -> dict:
         """The run record `arrows --evidence-out` writes: a log of the run.
@@ -343,7 +365,7 @@ def is_free_edge_coloring(g: Graph, spec: ArrowSpec, c: EdgeColoring):
 
 # --- Ramsey registry and derived pruning bounds ------------------------------
 
-_RAMSEY = {(3, 3): 6, (3, 4): 9, (3, 5): 14}
+_RAMSEY = {(3, 3): 6, (3, 4): 9, (3, 5): 14, (3, 6): 18, (4, 4): 18}
 
 
 def ramsey_known(s: int, t: int) -> int | None:
@@ -380,7 +402,7 @@ def neighborhood_clique_bounds(spec: ArrowSpec) -> tuple[int, int] | None:
 # --- the search --------------------------------------------------------------
 
 def _search(inst: ArrowInstance, budget: SearchBudget | None,
-            progress_every: int = 0) -> SearchOutcome:
+            progress_every: int = 0, setup_start: float | None = None) -> SearchOutcome:
     """Backtracking over colorings of `inst.items` with unit propagation;
     both the vertex and the edge search are this loop.  Every prune it
     makes is read from `inst`: the forbidden cliques, the neighborhood
@@ -424,7 +446,14 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     so a node budget of N tries N.  `propagations` counts forced
     assignments.  With `progress_every` N > 0 a progress line goes to
     standard error every N nodes.  A free coloring found is checked against
-    the instance before it is returned."""
+    the instance before it is returned.
+
+    `stats.setup_seconds` runs from `setup_start` (monotonic clock; the
+    callers read it before building `inst`, default the call) to the start
+    of the loop, so it covers the index build; `stats.seconds` and the time
+    budget cover the loop."""
+    if setup_start is None:
+        setup_start = time.monotonic()
     if progress_every < 0:
         raise ValueError(f"progress interval must be >= 0, got {progress_every}")
     g, spec = inst.g, inst.spec
@@ -580,6 +609,7 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     stats.nodes = nodes
     stats.propagations = propagations
     stats.generators = len(syms)
+    stats.setup_seconds = start - setup_start
     stats.seconds = time.monotonic() - start
     if verdict is not Verdict.FREE_COLORING:
         return SearchOutcome(verdict, None, stats, g, spec, inst.search)
@@ -603,7 +633,8 @@ def arrows_vertices(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = Non
     lexicographically first in that order.  With `progress_every` N > 0, a
     progress line goes to standard error every N nodes.
     """
-    return _search(VertexInstance(g, spec), budget, progress_every)
+    setup_start = time.monotonic()
+    return _search(VertexInstance(g, spec), budget, progress_every, setup_start)
 
 
 def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
@@ -622,4 +653,5 @@ def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
     fully deterministic.  With `progress_every` N > 0, a progress line goes
     to standard error every N nodes.
     """
-    return _search(ArrowInstance(g, spec), budget, progress_every)
+    setup_start = time.monotonic()
+    return _search(ArrowInstance(g, spec), budget, progress_every, setup_start)

@@ -8,9 +8,7 @@ fresh encoding of it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import cnf
+from . import __version__
 from .graphs import (Graph, circulant, complement, complete, cycle,
                      emit_graph6, join, max_clique)
 from .arrowing import ArrowSpec, SearchOutcome, Verdict, arrows_vertices
@@ -69,16 +67,17 @@ BUILTIN_GRAPHS = {
 
 # --- known-values catalog -----------------------------------------------------
 
-@dataclass(frozen=True)
 class KnownValueEntry:
-    sizes: tuple[int, ...]
-    q: int
-    low: int
-    high: int
-    sources: tuple[str, ...]
-    note: str = ""
+    __slots__ = ("sizes", "q", "low", "high", "sources", "note")
 
-    def __post_init__(self):
+    def __init__(self, sizes: tuple[int, ...], q: int, low: int, high: int,
+                 sources: tuple[str, ...], note: str = ""):
+        self.sizes = sizes
+        self.q = q
+        self.low = low
+        self.high = high
+        self.sources = sources
+        self.note = note
         if self.low > self.high:
             raise ValueError(f"interval [{self.low}, {self.high}] is empty")
 
@@ -130,21 +129,29 @@ def lookup_known(sizes, q: int) -> KnownValueEntry | None:
 
 # --- bound certificates -------------------------------------------------------
 
-@dataclass(frozen=True)
 class BoundCertificate:
-    schema: str
-    label: str
-    graph6: str
-    vertex_count: int
-    sizes: tuple[int, ...]
-    q: int
-    clique_number: int
-    evidence: dict
-    bound: str
+    __slots__ = ("schema", "label", "graph6", "vertex_count", "sizes", "q",
+                 "clique_number", "evidence", "bound")
+
+    def __init__(self, schema: str, label: str, graph6: str, vertex_count: int,
+                 sizes: tuple[int, ...], q: int, clique_number: int, evidence: dict,
+                 bound: str):
+        self.schema = schema
+        self.label = label
+        self.graph6 = graph6
+        self.vertex_count = vertex_count
+        self.sizes = sizes
+        self.q = q
+        self.clique_number = clique_number
+        self.evidence = evidence
+        self.bound = bound
 
     def to_json_obj(self) -> dict:
+        """The certificate record; `folkman_version` names the package
+        version that checked the evidence."""
         return {
             "schema": self.schema,
+            "folkman_version": __version__,
             "graph": {"label": self.label, "graph6": self.graph6,
                       "n": self.vertex_count},
             "spec": list(self.sizes),
@@ -195,6 +202,7 @@ def _evidence_record(g: Graph, spec: ArrowSpec, evidence) -> dict:
         raise CertificateError(
             f"evidence is not a solver UNSAT record (status {status!r}); an "
             "arrows run record is a log, not evidence")
+    from . import cnf  # only the solver route encodes
     try:
         sha = cnf.dimacs_sha256(cnf.emit_dimacs(cnf.encode_edge_arrowing(g, spec)))
     except cnf.CnfError as exc:

@@ -15,19 +15,20 @@ certificate); with `--evidence` the file must be a solver UNSAT record
 whose `dimacs_sha256` matches a fresh `encode` of that graph and spec, and
 the budget flags are refused.  `arrows --evidence-out` files are run logs,
 not evidence.
+
+Every process pays for the modules it imports, so `cnf`, `bounds` and
+`json` are imported inside the commands that use them.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
 
-from . import bounds, cnf, graphs
+from . import graphs
 from .arrowing import (ArrowSpec, EdgeColoring, SearchBudget, SearchOutcome,
                        Verdict, arrows_edges, arrows_vertices)
-from .bounds import BUILTIN_GRAPHS, bound_certificate
 from .graphs import Graph, complete, cycle, circulant, emit_graph6, join, max_clique
 
 EXIT_ARROWS = 0
@@ -53,10 +54,9 @@ class CliError(Exception):
 
 
 def resolve_graph(source: str) -> Graph:
-    """Builtin name (`q`, `theorem-graph`, `lin-graph`, `K<n>`, `C<n>`),
-    a literal graph6 string, or `@path` to a graph6 file."""
-    if source in BUILTIN_GRAPHS:
-        return BUILTIN_GRAPHS[source]()
+    """`K<n>`, `C<n>`, `@path` to a graph6 file, a literal graph6 string,
+    or a name in `bounds.BUILTIN_GRAPHS` (`q`, `theorem-graph`,
+    `lin-graph`; none of them is graph6)."""
     m = re.fullmatch(r"K(\d+)", source)
     if m:
         return complete(int(m.group(1)))
@@ -72,7 +72,11 @@ def resolve_graph(source: str) -> Graph:
     try:
         return graphs.parse_graph6(source)
     except graphs.Graph6Error as exc:
-        raise CliError(f"unknown graph source {source!r}: {exc}")
+        error = exc
+    from .bounds import BUILTIN_GRAPHS
+    if source in BUILTIN_GRAPHS:
+        return BUILTIN_GRAPHS[source]()
+    raise CliError(f"unknown graph source {source!r}: {error}")
 
 
 def _budget_from(args) -> SearchBudget | None:
@@ -82,6 +86,7 @@ def _budget_from(args) -> SearchBudget | None:
 
 
 def _dump_json(obj, path: str | None) -> str:
+    import json
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if path:
         Path(path).write_text(text)
@@ -101,6 +106,7 @@ def _witness_obj(g: Graph, spec: ArrowSpec, witness) -> dict:
 
 
 def cmd_construct(args) -> int:
+    import json
     name = args.name[0]
     params = args.name[1:]
     if name == "circulant":
@@ -135,6 +141,7 @@ def _report_outcome(outcome: SearchOutcome, args) -> int:
     print(f"generators {outcome.stats.generators}")
     for cause, count in sorted(outcome.stats.prunings.items()):
         print(f"prunings.{cause} {count}")
+    print(f"setup_seconds {outcome.stats.setup_seconds:.3f}", file=sys.stderr)
     print(f"seconds {outcome.stats.seconds:.3f}", file=sys.stderr)
     if outcome.verdict is Verdict.FREE_COLORING:
         if args.witness:
@@ -158,6 +165,7 @@ def cmd_arrows(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from . import cnf
     g = resolve_graph(args.graph)
     spec = ArrowSpec.parse(args.spec)
     formula = cnf.encode_edge_arrowing(g, spec)
@@ -174,6 +182,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from . import cnf
     g = resolve_graph(args.graph)
     spec = ArrowSpec.parse(args.spec)
     model = cnf.parse_model(Path(args.model).read_text())
@@ -186,6 +195,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import bounds
     g = resolve_graph(args.graph)
     spec = ArrowSpec.parse(args.spec)
     budget = _budget_from(args)
@@ -193,6 +203,7 @@ def cmd_certify(args) -> int:
         if budget is not None:
             raise CliError("--max-nodes and --max-seconds bound the search that "
                            "certify runs without --evidence")
+        import json
         evidence = json.loads(Path(args.evidence).read_text())
     else:
         bounds.check_bound_instance(g, spec, args.q)  # refuse before searching
@@ -200,7 +211,7 @@ def cmd_certify(args) -> int:
         if evidence.verdict is Verdict.BUDGET_EXHAUSTED:
             print(f"verdict {evidence.verdict.value}")
             return EXIT_BUDGET
-    cert = bound_certificate(g, spec, args.q, evidence)
+    cert = bounds.bound_certificate(g, spec, args.q, evidence)
     _dump_json(cert.to_json_obj(), args.output)
     if args.output:
         print(f"certificate {args.output}")
@@ -209,6 +220,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    import json
+    from . import bounds
     obj = [e.to_json_obj() for e in bounds.known_numbers()]
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     return 0

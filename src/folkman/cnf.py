@@ -8,9 +8,6 @@ only writes DIMACS, reads models back, and re-verifies them.
 """
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-
 from .graphs import Graph, edges
 from .arrowing import ArrowInstance, ArrowSpec, EdgeColoring
 
@@ -19,11 +16,14 @@ class CnfError(ValueError):
     """Malformed formula, DIMACS text, or model."""
 
 
-@dataclass
 class CnfFormula:
-    num_vars: int
-    clauses: list[list[int]]
-    comments: list[str] = field(default_factory=list)
+    __slots__ = ("num_vars", "clauses", "comments")
+
+    def __init__(self, num_vars: int, clauses: list[list[int]],
+                 comments: list[str] | None = None):
+        self.num_vars = num_vars
+        self.clauses = clauses
+        self.comments = [] if comments is None else comments
 
     def validate(self):
         for cl in self.clauses:
@@ -169,4 +169,5 @@ def decode_model(g: Graph, spec: ArrowSpec, model) -> EdgeColoring:
 
 
 def dimacs_sha256(text: str) -> str:
+    import hashlib  # imported here: CLI start-up time is measured
     return hashlib.sha256(text.encode()).hexdigest()

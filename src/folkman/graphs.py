@@ -5,7 +5,6 @@ which keeps every set operation a single machine word pair for n <= 128.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 MAX_VERTICES = 128
@@ -15,19 +14,21 @@ class GraphError(ValueError):
     """Invalid graph construction or out-of-range argument."""
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph; immutable after construction.
+    """Simple undirected graph; not changed after construction.
 
     adj[v] is the neighbor bitmask of v.  Symmetry and irreflexivity are
     enforced at construction time, so instances can be shared freely.
+    Two graphs are equal, and hash alike, when their adjacency is; the
+    label is a name, not part of the graph.
     """
 
-    n: int
-    adj: tuple[int, ...]
-    label: str = ""
+    __slots__ = ("n", "adj", "label")
 
-    def __post_init__(self):
+    def __init__(self, n: int, adj: tuple[int, ...], label: str = ""):
+        self.n = n
+        self.adj = adj
+        self.label = label
         if not 1 <= self.n <= MAX_VERTICES:
             raise GraphError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
         if len(self.adj) != self.n:
@@ -75,6 +76,9 @@ class Graph:
 
     def __hash__(self):
         return hash((self.n, self.adj))
+
+    def __repr__(self):
+        return f"Graph({self.n}, {self.adj!r}, {self.label!r})"
 
 
 def edges(g: Graph) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -242,13 +243,14 @@ def test_arrows_edges_witness_is_first_free_coloring():
     # Random graphs seldom have automorphisms, so symmetric ones are added
     # to check the symmetry cut.  Within the oracle's reach it cuts only
     # ARROWS trees (K3+C3 = K6 here): these free colorings are found before
-    # any branch that an automorphism maps to a smaller one.
+    # any branch that an automorphism maps to a smaller one.  (4,5) and
+    # (3,7) take their neighborhood caps from R(4,4) and R(3,6).
     rng = random.Random(41)
     graphs = [random_graph(rng, rng.randint(3, 7), p=0.6, max_edges=12)
               for _ in range(200)]
     symmetry_cuts = 0
     for g in graphs + symmetric_graphs(max_n=10, max_edges=15):
-        for sizes in ((2, 3), (3, 3), (3, 4), (3, 3, 3)):
+        for sizes in ((2, 3), (3, 3), (3, 4), (4, 5), (3, 7), (3, 3, 3)):
             if len(sizes) == 3 and g.edge_count > 12:
                 continue  # 3^m colorings for the oracle
             spec = ArrowSpec(sizes)
@@ -300,6 +302,13 @@ def test_arrows_edges_pruning_verdict_invariant():
             assert "neighborhood" not in b.stats.prunings
             neighborhood_cuts += a.stats.prunings.get("neighborhood", 0)
     assert neighborhood_cuts > 0
+    # R(3,6) = 18 caps a (3,7) search's color-1 neighborhoods at cliques of
+    # 6, which cuts on K8 and up; the cut changes neither verdict nor witness.
+    for n in (8, 9, 10):
+        g, spec = complete(n), ArrowSpec((3, 7))
+        a, b = arrows_edges(g, spec), _search(unbounded(g, spec), None)
+        assert a.witness.colors == b.witness.colors
+        assert a.stats.prunings["neighborhood"] > 0
 
 
 def test_instance_decides_the_neighborhood_test():
@@ -334,6 +343,22 @@ def test_node_budget_is_exact(search, g, sizes, nodes):
     for cap in (nodes - 1, 1):
         out = search(g, spec, SearchBudget(max_nodes=cap))
         assert (out.verdict, out.stats.nodes) == (Verdict.BUDGET_EXHAUSTED, cap)
+
+
+def test_setup_time_is_kept_apart_from_search_time(monkeypatch):
+    # The index build (here its automorphisms, made slow) counts as setup;
+    # `seconds`, which the time budget bounds, starts with the search loop.
+    def slow_generators(g):
+        time.sleep(0.2)
+        return find_generators(g)
+
+    find_generators = arrowing.automorphism_generators
+    monkeypatch.setattr(arrowing, "automorphism_generators", slow_generators)
+    for search in (arrows_edges, arrows_vertices):
+        out = search(complete(5), ArrowSpec((3, 3)), SearchBudget(max_seconds=0.1))
+        assert out.verdict is not Verdict.BUDGET_EXHAUSTED
+        assert out.stats.setup_seconds >= 0.2 > out.stats.seconds
+        assert out.to_json_obj()["stats"]["setup_seconds"] >= 0.2
 
 
 def test_budget_refuses_non_finite_seconds():
@@ -491,7 +516,9 @@ def test_ramsey_known():
     assert ramsey_known(2, 5) == 5
     assert ramsey_known(5, 2) == 5
     assert ramsey_known(1, 7) == 1
-    assert ramsey_known(4, 4) is None
+    assert ramsey_known(4, 4) == 18
+    assert ramsey_known(3, 6) == ramsey_known(6, 3) == 18
+    assert ramsey_known(5, 5) is None  # R(5,5) is open
 
 
 def test_neighborhood_clique_bounds():
@@ -499,7 +526,9 @@ def test_neighborhood_clique_bounds():
     assert neighborhood_clique_bounds(ArrowSpec((3, 3))) == (2, 2)
     assert neighborhood_clique_bounds(ArrowSpec((3, 4))) == (3, 5)
     assert neighborhood_clique_bounds(ArrowSpec((4, 4))) == (8, 8)
-    assert neighborhood_clique_bounds(ArrowSpec((4, 5))) is None  # needs R(4,4)
+    assert neighborhood_clique_bounds(ArrowSpec((4, 5))) == (13, 17)
+    assert neighborhood_clique_bounds(ArrowSpec((3, 7))) == (6, 17)
+    assert neighborhood_clique_bounds(ArrowSpec((5, 5))) is None  # needs R(4,5)
     with pytest.raises(ValueError):
         neighborhood_clique_bounds(ArrowSpec((3, 3, 3)))
 

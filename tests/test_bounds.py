@@ -1,5 +1,6 @@
 import pytest
 
+import folkman
 from folkman.arrowing import (ArrowSpec, SearchBudget, Verdict, arrows_edges,
                               arrows_vertices)
 from folkman.bounds import (CertificateError, bound_certificate, build_lin_graph,
@@ -54,6 +55,7 @@ def test_certificate_k6():
     assert parse_graph6(cert.graph6) == complete(6)
     obj = cert.to_json_obj()
     assert obj["schema"] == "folkman-certificate/1"
+    assert obj["folkman_version"] == folkman.__version__
     assert obj["evidence"]["kind"] == "native-search"
     assert obj["evidence"]["checked"] is True
     # 19 nodes before the symmetry cut; K6's 5 generators cut 2 branches.

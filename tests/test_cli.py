@@ -47,6 +47,15 @@ def test_construct_k8_and_circulant_and_join(capsys):
     assert code == 0 and out_map(out)["n"] == "21"
 
 
+def test_builtin_names_are_not_graph6():
+    # resolve_graph tries graph6 before the builtin names, so no name may
+    # also read as a graph6 string.
+    from folkman.bounds import BUILTIN_GRAPHS
+    for name in BUILTIN_GRAPHS:
+        with pytest.raises(ValueError):
+            parse_graph6(name)
+
+
 def test_construct_unknown(capsys):
     code, _, err = run(capsys, "construct", "no-such-graph")
     assert code == 3
@@ -54,9 +63,10 @@ def test_construct_unknown(capsys):
 
 
 def test_arrows_edges_k6_exit_0(capsys):
-    code, out, _ = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3")
+    code, out, err = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3")
     assert code == 0
     assert out_map(out)["verdict"] == "arrows"
+    assert set(out_map(err)) == {"setup_seconds", "seconds"}
 
 
 def test_arrows_edges_k5_exit_1_with_witness(capsys, tmp_path):
@@ -288,7 +298,8 @@ def test_evidence_out_is_the_run_record(capsys, tmp_path):
         "--evidence-out", str(evidence))
     record = json.loads(evidence.read_text())
     expected = arrows_edges(complete(6), ArrowSpec((3, 3))).to_json_obj()
-    del record["stats"]["seconds"], expected["stats"]["seconds"]
+    for timing in ("setup_seconds", "seconds"):
+        del record["stats"][timing], expected["stats"][timing]
     assert record == expected
     assert record["search"] == "edges"
 

@@ -22,6 +22,20 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name}: assert statement on line(s) {lines}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    # Every CLI command pays the package's import time, which is measured:
+    # `dataclasses` loads `inspect` and builds each class at import, so the
+    # classes are plain `__slots__` classes.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and not node.level
+                 and (node.module or "").split(".")[0] == "dataclasses")]
+    assert lines == [], f"{path.name}: dataclasses imported on line(s) {lines}"
+
+
 def test_arrowing_defines_no_nested_functions():
     # Every search in arrowing.py is the one iterative loop: no recursive
     # closure, and so no recursion limit.
