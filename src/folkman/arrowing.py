@@ -118,7 +118,9 @@ class Verdict(enum.Enum):
 
 
 class SearchStats:
-    """`nodes`: colors tried at decisions, what a node budget bounds.
+    """`nodes`: colors tried at decisions, what a node budget bounds; a
+    decision tries only the colors in its item's domain
+    (`ArrowInstance.domains`, narrowed by propagation).
     `propagations`: items (edges or vertices) colored by propagation.
     `generators`: automorphisms the symmetry test used.
     `prunings`: tried colors cut, by cause ("clique", "neighborhood",
@@ -211,9 +213,9 @@ class ArrowInstance:
     id is an index into it.  `cliques[i]` holds every forbidden clique of
     color i+1, in lexicographic order, as (clique, ascending item ids, item
     bitmask); that order fixes the CNF clause order and which violation is
-    reported first.  The search-only indexes `by_edge`, `order`, `bounds`
-    and `symmetries` are built on first use, so encoding, decoding and the
-    free-coloring check never pay for them.
+    reported first.  The search-only data `by_edge`, `order`, `domains`,
+    `bounds` and `symmetries` are built on first use, so encoding, decoding
+    and the free-coloring check never pay for them.
     """
 
     search = "edges"
@@ -266,6 +268,33 @@ class ArrowInstance:
             for e in self._item_ids(clique):
                 count[e] += 1
         return sorted(range(len(self.items)), key=lambda e: -count[e])
+
+    @cached_property
+    def domains(self) -> tuple[int, ...]:
+        """Initial color domains: domains[e] has bit c set for each color c
+        that item e may take, and a search decision on e tries exactly
+        these colors, ascending.  Color c is left out when e alone is a
+        forbidden color-c clique (a_c = 2 on edges).  When all forbidden
+        sizes are equal the colors are interchangeable, so `order[0]` keeps
+        only its lowest color: the lexicographically first free coloring
+        has it, which cuts the tree by a factor r and loses no verdict.
+
+        An override (a cube: some items pinned) decides the colorings of
+        those domains only.  It is sound with the lex-leader cut only if
+        every automorphism in `symmetries` maps each item's domain onto its
+        image's, so the colorings searched are closed under them; otherwise
+        `symmetries` must be restricted to generators that fix the pinned
+        items."""
+        r = self.spec.r
+        dom = [(1 << (r + 1)) - 2] * len(self.items)
+        for c, constraints in enumerate(self.cliques, start=1):
+            for _, ids, _ in constraints:
+                if len(ids) == 1:  # this item alone is a forbidden color-c clique
+                    dom[ids[0]] &= ~(1 << c)
+        if len(set(self.spec.sizes)) == 1 and dom:
+            first = self.order[0]
+            dom[first] &= -dom[first]  # its lowest color
+        return tuple(dom)
 
     @cached_property
     def bounds(self) -> tuple[int, int] | None:
@@ -404,14 +433,16 @@ def neighborhood_clique_bounds(spec: ArrowSpec) -> tuple[int, int] | None:
 def _search(inst: ArrowInstance, budget: SearchBudget | None,
             progress_every: int = 0, setup_start: float | None = None) -> SearchOutcome:
     """Backtracking over colorings of `inst.items` with unit propagation;
-    both the vertex and the edge search are this loop.  Every prune it
-    makes is read from `inst`: the forbidden cliques, the neighborhood
-    `bounds` and the `symmetries`.
+    both the vertex and the edge search are this loop.  Every item's
+    initial colors and every prune it makes are read from `inst`: the
+    `domains`, the forbidden cliques, the neighborhood `bounds` and the
+    `symmetries`.
 
-    Decisions take the items in `inst.order`, colors ascending, and skip an
-    item that propagation has already colored.  `dom[e]` is the bitmask of
-    colors an uncolored item e may still take (bit c for color c); color c
-    starts outside it when e alone is a forbidden color-c clique.  Giving
+    Decisions take the items in `inst.order` and skip an item that
+    propagation has already colored.  `dom[e]` is the bitmask of colors an
+    uncolored item e may still take (bit c for color c); it starts as
+    `inst.domains[e]`, and a decision on e tries the colors left in it,
+    ascending, and no other.  Giving
     an item color c visits every forbidden color-c clique through it: once
     all items of such a clique but one uncolored item f have color c, c
     leaves f's domain.  An empty domain is a conflict; a single color left
@@ -434,15 +465,17 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     lexicographically first in `inst.order`, and the verdict is that of the
     full tree.
 
-    A frame per decision holds its depth, the color last tried there and
-    what to restore before the next color: the color masks, the colored
+    A frame per decision holds its depth, the color last tried there (the
+    next is the least color above it in the item's domain) and what to
+    restore before the next color: the color masks, the colored
     neighborhoods, the assigned-item mask, the length of `trail`, which
     records (item, old domain) for each domain change that leaves a choice
     (only possible with three or more colors), and the active generators
     with the items they wait on.
 
     `nodes` counts colors tried at decisions; each is either pruned, for
-    one cause, or entered.  The budget is checked before a color is tried,
+    one cause, or entered, and a color outside the item's domain is neither
+    tried nor counted.  The budget is checked before a color is tried,
     so a node budget of N tries N.  `propagations` counts forced
     assignments.  With `progress_every` N > 0 a progress line goes to
     standard error every N nodes.  A free coloring found is checked against
@@ -461,14 +494,7 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     by_edge = (None,) + inst.by_edge  # indexed by color
     adj, n, m, r = g.adj, g.n, len(elist), spec.r
 
-    # All forbidden sizes equal: colors are interchangeable, so fixing the
-    # first item's color cuts the tree by a factor r without losing verdicts.
-    first_top = 1 if len(set(spec.sizes)) == 1 else r
-    dom = [(1 << (r + 1)) - 2] * m
-    for c, constraints in enumerate(inst.cliques, start=1):
-        for _, ids, _ in constraints:
-            if len(ids) == 1:  # this item alone is a forbidden color-c clique
-                dom[ids[0]] &= ~(1 << c)
+    dom = list(inst.domains)
     # Per generator, (both items' mask, image item's bit) for each pair
     # (e, s(e)) along `order`; `sym` holds each generator still active on
     # this branch with how many of its pairs are known to be equal, and
@@ -500,7 +526,11 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
             frame = frames[-1]
             (depth, c, saved_masks, saved_nbr, saved_assigned, mark,
              saved_sym, saved_watch) = frame
-            if c == (first_top if depth == 0 else r):
+            eid = order[depth]
+            # eid stays colored below this frame, so propagation has not
+            # narrowed its domain: dom[eid] is read before the restore.
+            left = dom[eid] >> (c + 1)  # the colors above c in eid's domain
+            if not left:
                 frames.pop()  # the frame below restores the state
                 continue
             if c:  # undo what the previous color assigned
@@ -513,16 +543,12 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
             if budget is not None and budget.exceeded(nodes, start):
                 verdict = Verdict.BUDGET_EXHAUSTED
                 break
-            c += 1
+            c += (left & -left).bit_length()
             frame[1] = c
             nodes += 1
             if progress_every and nodes % progress_every == 0:
                 print(f"progress nodes={nodes} depth={depth} "
                       f"prunings={stats.prunings}", file=sys.stderr)
-            eid = order[depth]
-            if not dom[eid] >> c & 1:
-                stats.bump("clique")
-                continue
             assigned |= 1 << eid
             color_mask[c] |= 1 << eid
             cause = None

@@ -204,13 +204,18 @@ def _evidence_record(g: Graph, spec: ArrowSpec, evidence) -> dict:
             "arrows run record is a log, not evidence")
     from . import cnf  # only the solver route encodes
     try:
-        sha = cnf.dimacs_sha256(cnf.emit_dimacs(cnf.encode_edge_arrowing(g, spec)))
+        formula = cnf.encode_edge_arrowing(g, spec)
+        sha = cnf.dimacs_sha256(cnf.emit_dimacs(formula))
     except cnf.CnfError as exc:
         raise CertificateError(f"solver record cannot be checked: {exc}") from exc
     if evidence.get("dimacs_sha256") != sha:
+        # The graph's label is part of the hashed DIMACS text, so a graph
+        # given by name and by graph6 encodes to different bytes.
         raise CertificateError(
             f"solver record's dimacs_sha256 {evidence.get('dimacs_sha256')!r} is "
-            f"not {sha}, the sha256 of `folkman encode` for this graph and spec")
+            f"not {sha}, the sha256 of `folkman encode` for this graph and spec, "
+            f"whose DIMACS names the graph in `c {formula.comments[0]}`; encode "
+            "and certify need the same graph source (a builtin name or graph6)")
     # UNSAT is still the solver's word: no proof of it is checked here.
     return {**evidence, "kind": "solver-unsat", "checked": False,
             "dimacs_sha256": sha}

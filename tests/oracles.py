@@ -89,10 +89,19 @@ def brute_arrows_edges(g: Graph, sizes) -> tuple[bool, dict | None]:
     return True, None
 
 
-def brute_first_free_coloring(g: Graph, sizes, order) -> dict | None:
+def _color_choices(order, r: int, fixed: dict | None):
+    # Per position of `order`, the colors it may take: its color in
+    # `fixed`, else 1..r.
+    fixed = fixed or {}
+    return [(fixed[x],) if x in fixed else range(1, r + 1) for x in order]
+
+
+def brute_first_free_coloring(g: Graph, sizes, order, fixed=None) -> dict | None:
     """The first free coloring, dict (u,v) -> color, in the lexicographic
     order of the color sequences over the edge list `order` (colors
-    ascending), or None if G arrows `sizes`.  Plain product enumeration."""
+    ascending), or None if G arrows `sizes`.  With `fixed`, a dict edge ->
+    color, only colorings that give those edges those colors count.  Plain
+    product enumeration."""
     position = {e: i for i, e in enumerate(order)}
     # One (getter, value) per forbidden clique: the clique is monochromatic
     # in `color` iff reading its edges' colors gives what reading them off
@@ -102,20 +111,22 @@ def brute_first_free_coloring(g: Graph, sizes, order) -> dict | None:
         for vs in brute_cliques(g, a):
             get = itemgetter(*(position[p] for p in combinations(vs, 2)))
             forbidden.append((get, get((color,) * len(order))))
-    for colors in product(range(1, len(sizes) + 1), repeat=len(order)):
+    for colors in product(*_color_choices(order, len(sizes), fixed)):
         if not any(get(colors) == value for get, value in forbidden):
             return dict(zip(order, colors))
     return None
 
 
-def brute_first_free_vertex_coloring(g: Graph, sizes, order) -> dict | None:
+def brute_first_free_vertex_coloring(g: Graph, sizes, order,
+                                     fixed=None) -> dict | None:
     """The first free vertex coloring, dict v -> color, in the lexicographic
     order of the color sequences over the vertex list `order` (colors
-    ascending), or None if G vertex-arrows `sizes`.  Plain product
-    enumeration."""
+    ascending), or None if G vertex-arrows `sizes`.  With `fixed`, a dict
+    vertex -> color, only colorings that give those vertices those colors
+    count.  Plain product enumeration."""
     forbidden = [(color, vs) for color, a in enumerate(sizes, start=1)
                  for vs in brute_cliques(g, a)]
-    for colors in product(range(1, len(sizes) + 1), repeat=len(order)):
+    for colors in product(*_color_choices(order, len(sizes), fixed)):
         coloring = dict(zip(order, colors))
         if not any(all(coloring[v] == color for v in vs) for color, vs in forbidden):
             return coloring

@@ -320,6 +320,63 @@ def test_instance_decides_the_neighborhood_test():
     assert VertexInstance(k6, ArrowSpec((3, 3))).bounds is None
 
 
+def test_instance_decides_the_domains():
+    # Bit c of domains[e] lets item e take color c.  a = 2 bans a color
+    # from every edge; equal sizes leave the first item in the order only
+    # color 1; a vertex is never a clique of 2 or more, so keeps them all.
+    k4 = complete(4)
+    assert ArrowInstance(k4, ArrowSpec((2, 3, 3))).domains == (0b1100,) * 6
+    inst = ArrowInstance(k4, ArrowSpec((3, 3)))
+    first = inst.order[0]
+    assert inst.domains[first] == 0b10
+    assert [d for e, d in enumerate(inst.domains) if e != first] == [0b110] * 5
+    assert ArrowInstance(k4, ArrowSpec((3, 4))).domains == (0b110,) * 6
+    assert VertexInstance(k4, ArrowSpec((3, 4))).domains == (0b110,) * 4
+
+
+@pytest.mark.parametrize("kind", ["edges", "vertices"])
+def test_pinned_domain_is_a_cube(kind):
+    # A cube is a set of initial domains, not a second search: with one
+    # item pinned to one color through `domains`, and no automorphisms
+    # (they need not preserve the pin), the search returns the first free
+    # coloring among those that give the item that color.
+    rng = random.Random(53)
+    graphs = [random_graph(rng, rng.randint(3, 6), p=0.7, max_edges=10)
+              for _ in range(30)]
+    graphs += [complete(5), join(complete(1), cycle(4))]
+    make = ArrowInstance if kind == "edges" else VertexInstance
+    moved = 0  # cases where the pin changes the outcome
+    for g in graphs:
+        for sizes in ((2, 3), (3, 3), (3, 4), (2, 3, 3), (3, 3, 3)):
+            spec = ArrowSpec(sizes)
+            inst = make(g, spec)
+            if not inst.items or (spec.r == 3 and len(inst.items) > 8):
+                continue  # nothing to pin, or 3^m colorings for the oracle
+            order = [inst.items[x] for x in inst.order]
+            x, c = rng.randrange(len(inst.items)), rng.randint(1, spec.r)
+            fixed = {inst.items[x]: c}
+            if len(set(sizes)) == 1:  # the instance keeps color 1 first
+                fixed.setdefault(order[0], 1)
+            inst.symmetries = ()
+            free = _search(inst, None)
+            domains = list(inst.domains)
+            domains[x] = 1 << c
+            inst.domains = tuple(domains)
+            out = _search(inst, None)
+            if kind == "edges":
+                want = brute_first_free_coloring(g, sizes, order, fixed)
+                got = None if out.witness is None else {
+                    (u, v): col for u, v, col in out.witness.to_json_obj()}
+            else:
+                want = brute_first_free_vertex_coloring(g, sizes, order, fixed)
+                got = None if out.witness is None else dict(enumerate(out.witness.colors))
+            assert (out.verdict is Verdict.ARROWS) == (want is None)
+            assert got == want, (edges(g), sizes, x, c)
+            moved += ((out.witness and out.witness.colors)
+                      != (free.witness and free.witness.colors))
+    assert moved > 0
+
+
 def test_arrows_edges_budget_exhaustion():
     # C5+C5+C5 -> (3,3) takes thousands of nodes; K9 -> (3,4) now takes 98.
     c5 = cycle(5)
@@ -333,6 +390,7 @@ def test_arrows_edges_budget_exhaustion():
 @pytest.mark.parametrize("search,g,sizes,nodes", [
     (arrows_edges, complete(6), (3, 3), 13),
     (arrows_vertices, build_q(), (3, 4), 54),
+    (arrows_edges, complete(6), (2, 3, 3), 16),
 ])
 def test_node_budget_is_exact(search, g, sizes, nodes):
     # A budget of N nodes tries N: it is checked before a node is counted,
@@ -385,11 +443,12 @@ def test_deterministic_witness_reproducible():
 
 def test_arrows_edges_search_pins():
     # Node, propagation and pruning counts and the witness pin the search
-    # itself: edge order, propagation, pruning tests, the first-edge color
-    # swap and the automorphism test.  Without the automorphism test, K6
-    # took 19 nodes, 6 propagations and {"neighborhood": 10}, K1+C5+C5 93,
-    # 77 and {"neighborhood": 47}; K8 and C5+C5 find their witness before
-    # any symmetry cut, so their counts and the witness are unchanged.
+    # itself: edge order, propagation, pruning tests, the first edge's
+    # single color and the automorphism test.  Without the automorphism
+    # test, K6 took 19 nodes, 6 propagations and {"neighborhood": 10},
+    # K1+C5+C5 93, 77 and {"neighborhood": 47}; K8 and C5+C5 find their
+    # witness before any symmetry cut, so their counts and the witness are
+    # unchanged.
     out = arrows_edges(complete(6), ArrowSpec((3, 3)))
     assert out.verdict is Verdict.ARROWS
     assert (out.stats.nodes, out.stats.prunings) == (
@@ -421,6 +480,17 @@ def test_arrows_edges_search_pins():
     assert (out.stats.nodes, out.stats.propagations) == (73, 71)
     assert out.stats.prunings == {"neighborhood": 31, "symmetry": 6}
     assert out.stats.generators == 5
+    # A decision tries only the colors in its edge's domain: with (2,3,3)
+    # color 1 is in no domain, so no edge of K5 is tried in it; in K7
+    # (3,3,3) the colors propagation took out of a domain are not tried.
+    out = arrows_edges(complete(5), ArrowSpec((2, 3, 3)))
+    assert out.verdict is Verdict.FREE_COLORING
+    assert (out.stats.nodes, out.stats.propagations) == (7, 9)
+    assert out.stats.prunings == {"clique": 2}
+    out = arrows_edges(complete(7), ArrowSpec((3, 3, 3)))
+    assert out.verdict is Verdict.FREE_COLORING
+    assert (out.stats.nodes, out.stats.propagations) == (35, 25)
+    assert out.stats.prunings == {"clique": 7, "symmetry": 4}
 
 
 def test_arrows_edges_deep_search_no_recursion_limit():

@@ -101,6 +101,15 @@ def test_arrows_budget_exit_2(capsys):
     assert out_map(out)["verdict"] == "budget-exhausted"
 
 
+def test_arrows_node_budget_counts_tried_colors(capsys):
+    # K7 -> (3,3,3) finds its free coloring in 35 tries; a color a
+    # decision's edge cannot take is not tried, so is not counted.
+    code, out, _ = run(capsys, "arrows", "edges", "--graph", "K7",
+                       "--spec", "3,3,3", "--max-nodes", "35")
+    assert code == 1
+    assert out_map(out)["verdict"] == "free-coloring"
+
+
 def test_usage_error_exit_3(capsys):
     # The usage line, then what is wrong with it.
     k6 = ["arrows", "edges", "--graph", "K6"]
@@ -465,6 +474,21 @@ def test_certify_refuses_undefined_q(capsys, tmp_path):
         assert code == 3
         assert out == ""
         assert "undefined" in err
+
+
+def test_certify_names_the_label_of_a_mismatched_encoding(capsys, tmp_path):
+    # The DIMACS text carries the graph's label, so K6 by name and by its
+    # graph6 string E~~w encode to different bytes; the refusal says so.
+    evidence = unsat_record(capsys, tmp_path, "K6", "3,3")
+    code, out, _ = run(capsys, "certify", "--graph", "K6", "--spec", "3,3",
+                       "--q", "7", "--evidence", str(evidence))
+    assert code == 0 and out_map(out)["bound"] == "F_e(3,3;7) <= 6"
+    code, out, err = run(capsys, "certify", "--graph", "E~~w", "--spec", "3,3",
+                         "--q", "7", "--evidence", str(evidence))
+    assert code == 3
+    assert out == ""
+    assert "`c graph unlabeled n=6 m=15`" in err
+    assert "need the same graph source" in err
 
 
 def test_certify_theorem_graph_from_solver_record(capsys, tmp_path):

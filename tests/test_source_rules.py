@@ -46,6 +46,18 @@ def test_arrowing_defines_no_nested_functions():
     assert nested == [], f"arrowing.py: nested function(s) {nested}"
 
 
+def test_search_reads_no_spec_sizes():
+    # The instance decides what the search may do: its `domains` give each
+    # item's colors and its cliques, `bounds` and `symmetries` every prune,
+    # so `_search` has no rule of its own keyed on the clique sizes.
+    tree = ast.parse((SRC / "arrowing.py").read_text())
+    search = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_search")
+    lines = [node.lineno for node in ast.walk(search)
+             if isinstance(node, ast.Attribute) and node.attr == "sizes"]
+    assert lines == [], f"_search reads .sizes on line(s) {lines}"
+
+
 def test_oracles_import_only_graph_from_package():
     # The oracles check the package, so they share no code with it beyond
     # the Graph they are handed.
