@@ -211,11 +211,12 @@ class ArrowInstance:
     colored: here an edge; `VertexInstance` asks the question of vertices.
     `items` lists them, here the canonical edge list `edges(g)`, and an item
     id is an index into it.  `cliques[i]` holds every forbidden clique of
-    color i+1, in lexicographic order, as (clique, ascending item ids, item
-    bitmask); that order fixes the CNF clause order and which violation is
-    reported first.  The search-only data `by_edge`, `order`, `domains`,
-    `bounds` and `symmetries` are built on first use, so encoding, decoding
-    and the free-coloring check never pay for them.
+    color i+1, in lexicographic order, as (clique, ascending item ids);
+    that order fixes the CNF clause order and which violation is reported
+    first.  `masks` holds the cliques' item bitmasks; it and the search-only
+    data `by_edge`, `order`, `domains`, `bounds` and `symmetries` are built
+    on first read, by the search and the free-coloring check (`violation`),
+    so encoding never pays for them.
     """
 
     search = "edges"
@@ -224,24 +225,32 @@ class ArrowInstance:
         self.g = g
         self.spec = spec
         self.items = self._items()
-        self.cliques = tuple([self._constraint(c) for c in enumerate_cliques(g, a)]
-                             for a in spec.sizes)
+        self.cliques = tuple(self._with_ids(enumerate_cliques(g, a)) for a in spec.sizes)
 
     def _items(self):
         return edges(self.g)
 
     @cached_property
-    def _eid(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.items)}
+    def _edge_ids(self) -> list[list[int]]:
+        # The n x n edge-id table: row u holds the id of edge {u, v} at
+        # column v, and -1 where u and v are not adjacent.
+        n = self.g.n
+        rows = [[-1] * n for _ in range(n)]
+        for e, (u, v) in enumerate(self.items):
+            rows[u][v] = rows[v][u] = e
+        return rows
 
-    def _item_ids(self, clique) -> tuple[int, ...]:
-        # The pairs of an ascending clique come out in lexicographic order,
-        # hence in ascending edge id.
-        return tuple(map(self._eid.__getitem__, combinations(clique, 2)))
+    def _with_ids(self, cliques) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        # Each clique with its item ids.  The pairs of an ascending clique
+        # come out in lexicographic order, hence in ascending edge id.
+        rows = self._edge_ids
+        return [(c, tuple([rows[u][v] for u, v in combinations(c, 2)])) for c in cliques]
 
-    def _constraint(self, clique):
-        ids = self._item_ids(clique)
-        return clique, ids, mask_of(ids)
+    @cached_property
+    def masks(self) -> tuple[list[int], ...]:
+        """masks[i][j]: the item bitmask of clique `cliques[i][j]`."""
+        return tuple([mask_of(ids) for _, ids in constraints]
+                     for constraints in self.cliques)
 
     @cached_property
     def by_edge(self) -> tuple[list[list[int]], ...]:
@@ -250,9 +259,9 @@ class ArrowInstance:
         clique iff all of those already have that color; the search's
         propagation looks here for cliques left one uncolored item short."""
         out = []
-        for constraints in self.cliques:
+        for constraints, masks in zip(self.cliques, self.masks):
             per_item: list[list[int]] = [[] for _ in self.items]
-            for _, ids, mask in constraints:
+            for (_, ids), mask in zip(constraints, masks):
                 for e in ids:
                     per_item[e].append(mask & ~(1 << e))
             out.append(per_item)
@@ -264,8 +273,8 @@ class ArrowInstance:
         ties in lexicographic order, so monochromatic-clique constraints
         complete as early as possible."""
         count = [0] * len(self.items)
-        for clique in enumerate_cliques(self.g, len(max_clique(self.g))):
-            for e in self._item_ids(clique):
+        for _, ids in self._with_ids(enumerate_cliques(self.g, len(max_clique(self.g)))):
+            for e in ids:
                 count[e] += 1
         return sorted(range(len(self.items)), key=lambda e: -count[e])
 
@@ -288,7 +297,7 @@ class ArrowInstance:
         r = self.spec.r
         dom = [(1 << (r + 1)) - 2] * len(self.items)
         for c, constraints in enumerate(self.cliques, start=1):
-            for _, ids, _ in constraints:
+            for _, ids in constraints:
                 if len(ids) == 1:  # this item alone is a forbidden color-c clique
                     dom[ids[0]] &= ~(1 << c)
         if len(set(self.spec.sizes)) == 1 and dom:
@@ -306,12 +315,12 @@ class ArrowInstance:
     def _item_image(self, perm) -> dict[int, int]:
         # Item -> image item under the vertex permutation perm, for the
         # items on the vertices it moves.
-        eid, adj = self._eid, self.g.adj
+        rows, adj = self._edge_ids, self.g.adj
         out = {}
         for u in (u for u, w in enumerate(perm) if u != w):
+            image = rows[perm[u]]
             for v in bits_of(adj[u]):
-                a, b = perm[u], perm[v]
-                out[eid[(u, v) if u < v else (v, u)]] = eid[(a, b) if a < b else (b, a)]
+                out[rows[u][v]] = image[perm[v]]
         return out
 
     @cached_property
@@ -336,9 +345,9 @@ class ArrowInstance:
         class_mask = [0] * (self.spec.r + 1)
         for e, c in enumerate(colors):
             class_mask[c] |= 1 << e
-        for i, constraints in enumerate(self.cliques, start=1):
+        for i, (constraints, masks) in enumerate(zip(self.cliques, self.masks), start=1):
             have = class_mask[i]
-            for clique, _, mask in constraints:
+            for (clique, _), mask in zip(constraints, masks):
                 if mask & have == mask:
                     return i, clique
         return None
@@ -355,8 +364,8 @@ class VertexInstance(ArrowInstance):
     def _items(self):
         return range(self.g.n)
 
-    def _item_ids(self, clique) -> tuple[int, ...]:
-        return clique
+    def _with_ids(self, cliques) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        return [(c, c) for c in cliques]
 
     def _item_image(self, perm) -> dict[int, int]:
         return dict(enumerate(perm))

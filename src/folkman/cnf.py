@@ -54,8 +54,8 @@ def encode_edge_arrowing(g: Graph, spec: ArrowSpec) -> CnfFormula:
         raise CnfError("CNF encoding supports 2-color specs only")
     inst = ArrowInstance(g, spec)
     blue, red = inst.cliques
-    clauses = [[-(e + 1) for e in eids] for _, eids, _ in blue]
-    clauses += [[e + 1 for e in eids] for _, eids, _ in red]
+    clauses = [[-(e + 1) for e in eids] for _, eids in blue]
+    clauses += [[e + 1 for e in eids] for _, eids in red]
     comments = [
         f"graph {g.label or 'unlabeled'} n={g.n} m={g.edge_count}",
         f"spec {spec} (true = color 1 = blue, false = color 2 = red)",
@@ -65,11 +65,25 @@ def encode_edge_arrowing(g: Graph, spec: ArrowSpec) -> CnfFormula:
     return CnfFormula(len(inst.items), clauses, comments)
 
 
+# The characters `str.splitlines` breaks a line at, so `parse_dimacs` too.
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 def emit_dimacs(f: CnfFormula) -> str:
+    """DIMACS text: one `c` line per comment, the problem line, one line
+    per clause.  A comment that holds a line break would spill onto a line
+    `parse_dimacs` reads as a clause, so it is refused."""
     f.validate()
+    for c in f.comments:
+        if not _LINE_BREAKS.isdisjoint(c):
+            raise CnfError(f"comment {c!r} holds a line break")
+    # Each literal's text, formatted once: lit[x] for x in 1..num_vars,
+    # and lit[-x] for -x, by negative indexing from the end.
+    nv = f.num_vars
+    lit = [str(x) for x in range(nv + 1)] + [str(x) for x in range(-nv, 0)]
     lines = [f"c {c}" for c in f.comments]
-    lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
-    lines += [" ".join(map(str, cl)) + " 0" for cl in f.clauses]
+    lines.append(f"p cnf {nv} {len(f.clauses)}")
+    lines += [" ".join(map(lit.__getitem__, cl)) + " 0" for cl in f.clauses]
     return "\n".join(lines) + "\n"
 
 

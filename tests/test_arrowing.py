@@ -13,8 +13,9 @@ from folkman.arrowing import (ArrowInstance, ArrowSpec, ColoringError,
                               is_free_edge_coloring, is_free_vertex_coloring,
                               ramsey_known, neighborhood_clique_bounds)
 from folkman.graphs import Graph, circulant, complete, cycle, edges, join
-from folkman.bounds import build_q, build_theorem_graph
-from folkman.cnf import decode_model, encode_edge_arrowing
+from folkman.bounds import bound_certificate, build_q, build_theorem_graph
+from folkman.cnf import (CnfError, decode_model, dimacs_sha256, emit_dimacs,
+                         encode_edge_arrowing)
 from oracles import (brute_arrows_edges, brute_arrows_edges_2color,
                      brute_arrows_vertices, brute_first_free_coloring,
                      brute_first_free_vertex_coloring, disjoint_union,
@@ -564,6 +565,50 @@ def test_only_the_search_finds_automorphisms(monkeypatch):
     assert not ok
     with pytest.raises(AssertionError, match="outside the search"):
         arrows_edges(k5, spec)
+
+
+def test_only_the_search_and_the_checks_build_clique_masks(monkeypatch):
+    # The encoder and `certify`'s solver route read each clique's item ids
+    # only; the item bitmasks are built on first read, for the search's
+    # `by_edge` and for `violation`.
+    k5, spec = complete(5), ArrowSpec((3, 3))
+    planted = list(pentagon_pentagram(k5).colors)
+    planted[edges(k5).index((0, 1))] = 2  # closes the color-2 triangle 0, 1, 3
+    planted = EdgeColoring(k5, tuple(planted))
+    model = [e + 1 if c == 1 else -(e + 1) for e, c in enumerate(planted.colors)]
+
+    def refuse(ids):
+        raise AssertionError("clique masks built")
+    monkeypatch.setattr(arrowing, "mask_of", refuse)
+    assert encode_edge_arrowing(k5, spec).num_vars == 10
+    k6 = complete(6)
+    sha = dimacs_sha256(emit_dimacs(encode_edge_arrowing(k6, spec)))
+    cert = bound_certificate(k6, spec, 7, {"status": "UNSAT", "dimacs_sha256": sha})
+    assert cert.evidence["dimacs_sha256"] == sha
+    for build in (lambda: arrows_edges(k5, spec),
+                  lambda: is_free_edge_coloring(k5, spec, planted),
+                  lambda: decode_model(k5, spec, model)):
+        with pytest.raises(AssertionError, match="clique masks built"):
+            build()
+    monkeypatch.undo()
+    assert is_free_edge_coloring(k5, spec, planted) == (False, (2, (0, 1, 3)))
+    with pytest.raises(CnfError, match=r"clique \(0, 1, 3\) is monochromatic in color 2"):
+        decode_model(k5, spec, model)
+
+
+def test_clique_item_ids_name_its_edges():
+    rng = random.Random(59)
+    for _ in range(40):
+        g = relabelled(random_graph(rng, rng.randint(1, 11), p=rng.choice((0.4, 0.7, 1.0))),
+                       rng)
+        elist = edges(g)
+        inst = ArrowInstance(g, ArrowSpec((2, 3, 4)))
+        for constraints, masks in zip(inst.cliques, inst.masks):
+            for (clique, ids), mask in zip(constraints, masks):
+                assert list(ids) == sorted(set(ids)), (g.adj, clique)
+                pairs = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+                assert sorted(elist[e] for e in ids) == pairs, (g.adj, clique)
+                assert mask == sum(1 << e for e in ids)
 
 
 def test_non_free_witness_raises(monkeypatch):

@@ -1,12 +1,13 @@
 import json
+import random
 
 import pytest
 
 from folkman.arrowing import ArrowInstance
 from folkman.cli import main
 from folkman.cnf import edge_variable_map
-from folkman.graphs import complete, edges, parse_graph6
-from oracles import brute_arrows_edges_2color
+from folkman.graphs import complete, cycle, edges, emit_graph6, join, parse_graph6
+from oracles import brute_arrows_edges_2color, relabelled
 
 
 def run(capsys, *argv):
@@ -131,6 +132,44 @@ def test_encode_k3(capsys):
     code, out, _ = run(capsys, "encode", "--graph", "K3", "--spec", "3,3")
     assert code == 0
     assert "p cnf 3 2" in out.splitlines()
+
+
+# K3+C5+C5 relabelled by `relabelled(..., random.Random(5))`: its edge-id
+# table has gaps (non-adjacent pairs) inside the rows, unlike K8+Q's kernel.
+RELABELLED_K3_C5_C5 = r"L~\~|~v}tz~~~N"
+
+
+def test_relabelled_k3_c5_c5_graph6():
+    g = relabelled(join(complete(3), join(cycle(5), cycle(5))), random.Random(5))
+    assert emit_graph6(g) == RELABELLED_K3_C5_C5
+
+
+@pytest.mark.parametrize("graph, header, sha", [
+    ("lin-graph", "143 4982",
+     "d7a04ce27b16e1d2ebb64b4d4160faa6415a8ae949d5872c85b0de6471eae287"),
+    (RELABELLED_K3_C5_C5, "68 446",
+     "5ae7b14591e547651c5b68227b1e66c8f74f9b607de2f9763395903d00c6cd93"),
+], ids=["lin-graph", "relabelled-K3+C5+C5"])
+def test_encode_dimacs_pins(capsys, tmp_path, graph, header, sha):
+    # DIMACS bytes beyond the theorem graph's pin in test_cnf.py.
+    path = tmp_path / "out.cnf"
+    code, out, _ = run(capsys, "encode", "--graph", graph, "--spec", "3,5", "-o", str(path))
+    assert code == 0
+    assert out_map(out)["sha256"] == sha
+    assert f"p cnf {header}" in path.read_text().splitlines()
+
+
+def test_encode_refuses_a_label_with_a_line_break(capsys, tmp_path):
+    # The label of `@path` goes into a DIMACS comment; a line break in it
+    # would split that comment into a line `parse_dimacs` rejects.
+    path = tmp_path / "bad\nname.g6"
+    path.write_text(emit_graph6(complete(5)))
+    out_path = tmp_path / "out.cnf"
+    code, out, err = run(capsys, "encode", "--graph", f"@{path}", "--spec", "3,3",
+                         "-o", str(out_path))
+    assert code == 3
+    assert "line break" in err and out == ""
+    assert not out_path.exists()
 
 
 def test_encode_decode_pipeline(capsys, tmp_path):

@@ -54,6 +54,16 @@ def test_emit_byte_stable():
         "1db983c4daf1e0fb098631f12433725bbed4c16f61082756f81ea39502e98325")
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x0c", "\u2028"])
+def test_emit_refuses_a_comment_with_a_line_break(brk):
+    # Every break `parse_dimacs` splits lines at would leave part of the
+    # comment on a line of its own.
+    f = CnfFormula(1, [[1]], [f"graph bad{brk}name"])
+    with pytest.raises(CnfError, match="line break"):
+        emit_dimacs(f)
+    assert len(f"c graph bad{brk}name".splitlines()) == 2
+
+
 def test_parse_dimacs_errors():
     with pytest.raises(CnfError):
         parse_dimacs("1 2 0\n")  # clause before header

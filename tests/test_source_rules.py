@@ -58,6 +58,22 @@ def test_search_reads_no_spec_sizes():
     assert lines == [], f"_search reads .sizes on line(s) {lines}"
 
 
+def test_encoder_reads_no_search_data():
+    # Encoding pays only for the instance's cliques and their item ids: the
+    # search index and the clique bitmasks are built on first read, and
+    # cnf.py must not be that reader.
+    tree = ast.parse((SRC / "cnf.py").read_text())
+    search_only = {"by_edge", "order", "domains", "bounds", "symmetries", "masks",
+                   "mask_of"}
+    read = [(node.lineno, name) for node in ast.walk(tree)
+            for name in ([node.attr] if isinstance(node, ast.Attribute)
+                         else [node.id] if isinstance(node, ast.Name)
+                         else [a.name for a in node.names]
+                         if isinstance(node, ast.ImportFrom) else [])
+            if name in search_only]
+    assert read == [], f"cnf.py reads search-only data: {read}"
+
+
 def test_oracles_import_only_graph_from_package():
     # The oracles check the package, so they share no code with it beyond
     # the Graph they are handed.
