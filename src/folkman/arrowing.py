@@ -451,26 +451,27 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     propagation has already colored.  `dom[e]` is the bitmask of colors an
     uncolored item e may still take (bit c for color c); it starts as
     `inst.domains[e]`, and a decision on e tries the colors left in it,
-    ascending, and no other.  Giving
-    an item color c visits every forbidden color-c clique through it: once
-    all items of such a clique but one uncolored item f have color c, c
-    leaves f's domain.  An empty domain is a conflict; a single color left
-    forces f to it at once, and forcing cascades within the same decision.
-    With `inst.bounds` set (edge searches, 2 colors), every edge
-    assignment, decided or forced, also passes the neighborhood test when
-    its cliques are visited.  Propagation only cuts subtrees that hold no
-    free coloring.
+    ascending, and no other.  `col[e]` is the color e was given last, by a
+    decision or by propagation; it is never undone, so it is read only
+    while e is assigned.  Giving an item color c visits every forbidden
+    color-c clique through it: once all items of such a clique but one
+    uncolored item f have color c, c leaves f's domain.  An empty domain is
+    a conflict; a single color left forces f to it at once, and forcing
+    cascades within the same decision.  With `inst.bounds` set (edge
+    searches, 2 colors), every edge assignment, decided or forced, also
+    passes the neighborhood test when its cliques are visited.  Propagation
+    only cuts subtrees that hold no free coloring.
 
     After propagation succeeds, each generator s of `inst.symmetries` is
-    compared: with c the partial coloring and s(c) the coloring that
-    reads c(s(e)) at each item e, a node is cut, for cause "symmetry", when
-    at the first position along `inst.order` where c and s(c) differ both
-    items are colored and s(c) is smaller there.  Every completion of c is
-    then larger than its image, so none is the lexicographically first
-    free coloring, which is the least in its orbit.  A frame keeps, per
-    generator still active on its branch, how many of its pairs are known
-    equal; a generator whose image is found larger is dropped for the
-    subtree.  So the first free coloring found is still the
+    compared: with c the partial coloring and s(c) the coloring that reads
+    c(s(e)) at each item e, a node is cut, for cause "symmetry", when at
+    the first position along `inst.order` where c and s(c) differ both
+    items are colored and s(c) is smaller there: col[s(e)] < col[e].  Every
+    completion of c is then larger than its image, so none is the
+    lexicographically first free coloring, which is the least in its orbit.
+    A frame keeps, per generator still active on its branch, how many of
+    its pairs are known equal; a generator whose image is found larger is
+    dropped for the subtree.  So the first free coloring found is still the
     lexicographically first in `inst.order`, and the verdict is that of the
     full tree.
 
@@ -480,7 +481,7 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     neighborhoods, the assigned-item mask, the length of `trail`, which
     records (item, old domain) for each domain change that leaves a choice
     (only possible with three or more colors), and the active generators
-    with the items they wait on.
+    with their positions.  The witness is `col` itself.
 
     `nodes` counts colors tried at decisions; each is either pruned, for
     one cause, or entered, and a color outside the item's domain is neither
@@ -504,15 +505,12 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     adj, n, m, r = g.adj, g.n, len(elist), spec.r
 
     dom = list(inst.domains)
-    # Per generator, (both items' mask, image item's bit) for each pair
-    # (e, s(e)) along `order`; `sym` holds each generator still active on
-    # this branch with how many of its pairs are known to be equal, and
-    # `watch` the items of the pairs they wait on.
-    syms = [[(1 << e | 1 << f, 1 << f) for e, f in pairs] for pairs in inst.symmetries]
-    sym = [(pairs, 0) for pairs in syms]
-    watch = 0
-    for pairs in syms:
-        watch |= pairs[0][0]
+    col = [0] * m  # col[e]: item e's color, read only while e is assigned
+    # Each generator still active on this branch, as its pairs (e, s(e))
+    # along `order`, each with both items' mask, and how many of them are
+    # known to be equal.
+    sym = [([(1 << e | 1 << f, e, f) for e, f in pairs], 0)
+           for pairs in inst.symmetries]
     assigned = 0
     color_mask = [0] * (r + 1)
     nbr = [0] * ((r + 1) * n)  # nbr[c * n + u]: u's neighbors by color-c edges
@@ -530,11 +528,10 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
             verdict = Verdict.FREE_COLORING
             break
         frames.append([depth, 0, tuple(color_mask), tuple(nbr), assigned, len(trail),
-                       sym, watch])
+                       sym])
         while frames:  # try the next color at the innermost decision
             frame = frames[-1]
-            (depth, c, saved_masks, saved_nbr, saved_assigned, mark,
-             saved_sym, saved_watch) = frame
+            depth, c, saved_masks, saved_nbr, saved_assigned, mark, saved_sym = frame
             eid = order[depth]
             # eid stays colored below this frame, so propagation has not
             # narrowed its domain: dom[eid] is read before the restore.
@@ -560,6 +557,7 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
                       f"prunings={stats.prunings}", file=sys.stderr)
             assigned |= 1 << eid
             color_mask[c] |= 1 << eid
+            col[eid] = c
             cause = None
             queue = [(eid, c)]
             for f, d in queue:  # grows while it is read
@@ -601,6 +599,7 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
                     k = left.bit_length() - 1
                     assigned |= miss
                     color_mask[k] |= miss
+                    col[h] = k
                     other |= miss
                     propagations += 1
                     queue.append((h, k))
@@ -609,31 +608,23 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
             if cause:
                 stats.bump(cause)
                 continue
-            sym, watch = saved_sym, saved_watch
-            if assigned & ~saved_assigned & watch:  # a pair waited on may be done
-                sym, watch = [], 0
-                for entry in saved_sym:
-                    pairs, pos = entry
-                    both, fbit = pairs[pos]
-                    while assigned & both == both:  # both items colored
-                        x = color_mask[1] & both  # which of the two has the
-                        k = 1                     # lowest color, or both
-                        while not x and k < r - 1:
-                            k += 1
-                            x = color_mask[k] & both
-                        if x and x != both:  # the first difference
-                            if x == fbit:  # the image is smaller
-                                cause = "symmetry"
-                            break  # else larger: drop s for the subtree
-                        pos += 1
-                        if pos == len(pairs):  # equal on every item s moves
-                            break
-                        both, fbit = pairs[pos]
-                    else:
-                        sym.append(entry if pos == entry[1] else (pairs, pos))
-                        watch |= both
-                    if cause:
+            sym = []
+            for entry in saved_sym:
+                pairs, pos = entry
+                both, e, f = pairs[pos]
+                while assigned & both == both:  # both colored
+                    if col[e] != col[f]:  # the first difference
+                        if col[f] < col[e]:  # the image is smaller
+                            cause = "symmetry"
+                        break  # else larger: drop s for the subtree
+                    pos += 1
+                    if pos == len(pairs):  # equal on every item s moves
                         break
+                    both, e, f = pairs[pos]
+                else:
+                    sym.append(entry if pos == entry[1] else (pairs, pos))
+                if cause:
+                    break
             if cause:
                 stats.bump(cause)
                 continue
@@ -643,13 +634,12 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
             break  # every decision exhausted, or out of budget
     stats.nodes = nodes
     stats.propagations = propagations
-    stats.generators = len(syms)
+    stats.generators = len(inst.symmetries)
     stats.setup_seconds = start - setup_start
     stats.seconds = time.monotonic() - start
     if verdict is not Verdict.FREE_COLORING:
         return SearchOutcome(verdict, None, stats, g, spec, inst.search)
-    colors = tuple(next(c for c in range(1, r + 1) if color_mask[c] >> e & 1)
-                   for e in range(m))
+    colors = tuple(col)
     if inst.violation(colors) is not None:
         raise RuntimeError("search produced a non-free witness")
     coloring = EdgeColoring if inst.search == "edges" else VertexColoring

@@ -129,39 +129,6 @@ def lookup_known(sizes, q: int) -> KnownValueEntry | None:
 
 # --- bound certificates -------------------------------------------------------
 
-class BoundCertificate:
-    __slots__ = ("schema", "label", "graph6", "vertex_count", "sizes", "q",
-                 "clique_number", "evidence", "bound")
-
-    def __init__(self, schema: str, label: str, graph6: str, vertex_count: int,
-                 sizes: tuple[int, ...], q: int, clique_number: int, evidence: dict,
-                 bound: str):
-        self.schema = schema
-        self.label = label
-        self.graph6 = graph6
-        self.vertex_count = vertex_count
-        self.sizes = sizes
-        self.q = q
-        self.clique_number = clique_number
-        self.evidence = evidence
-        self.bound = bound
-
-    def to_json_obj(self) -> dict:
-        """The certificate record; `folkman_version` names the package
-        version that checked the evidence."""
-        return {
-            "schema": self.schema,
-            "folkman_version": __version__,
-            "graph": {"label": self.label, "graph6": self.graph6,
-                      "n": self.vertex_count},
-            "spec": list(self.sizes),
-            "q": self.q,
-            "clique_number": self.clique_number,
-            "evidence": self.evidence,
-            "bound": self.bound,
-        }
-
-
 def check_bound_instance(g: Graph, spec: ArrowSpec, q: int) -> int:
     """Refuse (g, spec, q) unless F_e(spec; q) <= |V(g)| could be certified
     from evidence that g edge-arrows spec; return g's clique number.
@@ -238,9 +205,10 @@ def _check_catalog(spec: ArrowSpec, q: int, n: int):
             f"bound {entry.high}; a new bound is not certified here")
 
 
-def bound_certificate(g: Graph, spec: ArrowSpec, q: int,
-                      evidence) -> BoundCertificate:
-    """Build the machine-checkable record for F_e(spec; q) <= |V(g)|.
+def bound_certificate(g: Graph, spec: ArrowSpec, q: int, evidence) -> dict:
+    """The machine-checkable record for F_e(spec; q) <= |V(g)|, as the
+    JSON object `certify` writes; `folkman_version` names the package
+    version that checked the evidence.
 
     `check_bound_instance` must pass, and the evidence must be one of:
     an in-process SearchOutcome of an edge search on exactly this graph and
@@ -251,15 +219,13 @@ def bound_certificate(g: Graph, spec: ArrowSpec, q: int,
     """
     cl = check_bound_instance(g, spec, q)
     record = _evidence_record(g, spec, evidence)
-    bound = f"F_e({spec};{q}) <= {g.n}"
-    return BoundCertificate(
-        schema=CERTIFICATE_SCHEMA,
-        label=g.label or "unlabeled",
-        graph6=emit_graph6(g),
-        vertex_count=g.n,
-        sizes=spec.sizes,
-        q=q,
-        clique_number=cl,
-        evidence=record,
-        bound=bound,
-    )
+    return {
+        "schema": CERTIFICATE_SCHEMA,
+        "folkman_version": __version__,
+        "graph": {"label": g.label or "unlabeled", "graph6": emit_graph6(g), "n": g.n},
+        "spec": list(spec.sizes),
+        "q": q,
+        "clique_number": cl,
+        "evidence": record,
+        "bound": f"F_e({spec};{q}) <= {g.n}",
+    }

@@ -212,10 +212,10 @@ def cmd_certify(args) -> int:
             print(f"verdict {evidence.verdict.value}")
             return EXIT_BUDGET
     cert = bounds.bound_certificate(g, spec, args.q, evidence)
-    _dump_json(cert.to_json_obj(), args.output)
+    _dump_json(cert, args.output)
     if args.output:
         print(f"certificate {args.output}")
-    print(f"bound {cert.bound}")
+    print(f"bound {cert['bound']}")
     return 0
 
 

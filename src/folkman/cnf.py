@@ -87,12 +87,23 @@ def emit_dimacs(f: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ints(tokens, number: int, line: str) -> list[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        raise CnfError(f"line {number}: non-integer token in {line!r}") from None
+
+
 def parse_dimacs(text: str) -> CnfFormula:
+    """The formula DIMACS text holds.  A missing or second problem line, a
+    negative count in it, a token that is not an integer, a clause before
+    the problem line or left without its 0, a clause count other than the
+    header's and a literal out of range are refused."""
     comments: list[str] = []
     clauses: list[list[int]] = []
     num_vars = num_clauses = None
     pending: list[int] = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -103,12 +114,15 @@ def parse_dimacs(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise CnfError(f"malformed problem line: {line!r}")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            if num_vars is not None:
+                raise CnfError(f"line {number}: second problem line {line!r}")
+            num_vars, num_clauses = _ints(parts[2:], number, line)
+            if num_vars < 0 or num_clauses < 0:
+                raise CnfError(f"line {number}: negative count in {line!r}")
             continue
         if num_vars is None:
             raise CnfError("clause before problem line")
-        for tok in line.split():
-            lit = int(tok)
+        for lit in _ints(line.split(), number, line):
             if lit == 0:
                 clauses.append(pending)
                 pending = []

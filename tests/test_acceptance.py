@@ -147,7 +147,7 @@ def test_criterion_6_theorem_verification():
     assert outcome.verdict is Verdict.ARROWS, (
         f"native search did not exhaust within budget: {outcome.verdict.value}")
     cert = bound_certificate(g, spec, 13, outcome)
-    assert cert.bound == "F_e(3,5;13) <= 21"
+    assert cert["bound"] == "F_e(3,5;13) <= 21"
     report(6, "theorem graph arrows (3,5); certificate F_e(3,5;13) <= 21")
 
 

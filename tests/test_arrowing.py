@@ -174,19 +174,22 @@ def test_arrows_vertices_witness_is_first_free_coloring():
     # A free coloring found after a symmetry cut.
     graphs.append(relabelled(disjoint_union(join(cycle(5), cycle(5)), complete(3)),
                              random.Random(0)))
-    symmetry_cuts = 0
+    # With 4 colors the cut compares colors 3 and 4 as well (K6 makes 15
+    # such cuts).
+    symmetry_cuts = [0] * 5  # by number of colors
     for g in graphs + symmetric_graphs(max_n=10, max_edges=45):
         order = sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
-        for sizes in ((2, 2), (2, 3), (3, 3), (3, 4), (2, 3, 4), (3, 3, 3), (4,)):
-            if len(sizes) == 3 and g.n > 8:
-                continue  # 3^n colorings for the oracle
+        for sizes in ((2, 2), (2, 3), (3, 3), (3, 4), (2, 3, 4), (3, 3, 3), (4,),
+                      (2, 2, 2, 3)):
+            if len(sizes) == 3 and g.n > 8 or len(sizes) == 4 and g.n > 7:
+                continue  # r^n colorings for the oracle
             want = brute_first_free_vertex_coloring(g, sizes, order)
             out = arrows_vertices(g, ArrowSpec(sizes))
             assert (out.verdict is Verdict.ARROWS) == (want is None)
             got = None if out.witness is None else dict(enumerate(out.witness.colors))
             assert got == want, (edges(g), sizes)
-            symmetry_cuts += out.stats.prunings.get("symmetry", 0)
-    assert symmetry_cuts > 0
+            symmetry_cuts[len(sizes)] += out.stats.prunings.get("symmetry", 0)
+    assert sum(symmetry_cuts[:4]) > 0 and symmetry_cuts[4] > 0
 
 
 def test_arrows_edges_thresholds_33():
@@ -494,6 +497,64 @@ def test_arrows_edges_search_pins():
     assert out.stats.prunings == {"clique": 7, "symmetry": 4}
 
 
+# Totals over `sweep_graphs()` per (search, sizes): nodes, propagations,
+# prunings by cause, generators.  Re-pin only for a change that means to
+# move them, such as a new forcing order (ROADMAP item 5), and give the
+# reason in CHANGES.md.
+SWEEP_PINS = {
+    ("edges", (3,)): (586, 0, {"clique": 132}, 416),
+    ("edges", (2, 3)): (586, 0, {"neighborhood": 132}, 416),
+    ("edges", (3, 3)): (1350, 449, {"neighborhood": 113, "symmetry": 8}, 416),
+    ("edges", (3, 4)): (1191, 535, {"neighborhood": 26}, 416),
+    ("edges", (2, 3, 3)): (1362, 682, {"clique": 113, "symmetry": 16}, 416),
+    ("edges", (3, 3, 3)): (1631, 172, {"clique": 28, "symmetry": 4}, 416),
+    ("edges", (2, 2, 3, 3)): (1362, 682, {"clique": 113, "symmetry": 16}, 416),
+    ("edges", (3, 3, 3, 3)): (1678, 37, {"clique": 5}, 416),
+    ("vertices", (2,)): (263, 0, {"clique": 206}, 488),
+    ("vertices", (3,)): (727, 0, {"clique": 132}, 488),
+    ("vertices", (2, 3)): (636, 1298, {"clique": 205}, 488),
+    ("vertices", (3, 3)): (972, 440, {"clique": 51}, 488),
+    ("vertices", (2, 2, 3)): (1129, 720, {"clique": 137, "symmetry": 34}, 488),
+    ("vertices", (2, 3, 4)): (1186, 148, {"clique": 12, "symmetry": 12}, 488),
+    ("vertices", (2, 2, 2, 3)): (1313, 266, {"clique": 60, "symmetry": 60}, 488),
+    ("vertices", (2, 2, 2, 2)): (1260, 437, {"clique": 120}, 488),
+}
+# sha256 over (search, sizes, verdict, witness colors) of every case, in order.
+SWEEP_WITNESS_SHA256 = "9da9c6d1cf4452860383aba8e6cce6b568a4d0cc9196f38607b662d5119315bb"
+
+
+def sweep_graphs() -> list[Graph]:
+    rng = random.Random(97)
+    graphs = [random_graph(rng, rng.randint(1, 8), p=rng.choice((0.3, 0.5, 0.8)),
+                           max_edges=14) for _ in range(150)]
+    return (graphs + symmetric_graphs(max_n=10, max_edges=20)
+            + [complete(n) for n in range(2, 8)])
+
+
+def test_sweep_counts_are_pinned():
+    # Both searches, 1 to 4 colors, random and symmetric graphs: every
+    # count and witness of the search loop, summed.
+    graphs = sweep_graphs()
+    digest = hashlib.sha256()
+    got = {}
+    for search, sizes in SWEEP_PINS:
+        run = arrows_edges if search == "edges" else arrows_vertices
+        nodes = propagations = generators = 0
+        prunings: dict[str, int] = {}
+        for g in graphs:
+            out = run(g, ArrowSpec(sizes))
+            nodes += out.stats.nodes
+            propagations += out.stats.propagations
+            generators += out.stats.generators
+            for cause, count in out.stats.prunings.items():
+                prunings[cause] = prunings.get(cause, 0) + count
+            colors = None if out.witness is None else out.witness.colors
+            digest.update(repr((search, sizes, out.verdict.value, colors)).encode())
+        got[search, sizes] = (nodes, propagations, prunings, generators)
+    assert got == SWEEP_PINS
+    assert digest.hexdigest() == SWEEP_WITNESS_SHA256
+
+
 def test_arrows_edges_deep_search_no_recursion_limit():
     # K32,32 has 1024 edges, one search depth each, past Python's default
     # recursion limit.  It is triangle-free, so the first coloring tried is
@@ -584,7 +645,7 @@ def test_only_the_search_and_the_checks_build_clique_masks(monkeypatch):
     k6 = complete(6)
     sha = dimacs_sha256(emit_dimacs(encode_edge_arrowing(k6, spec)))
     cert = bound_certificate(k6, spec, 7, {"status": "UNSAT", "dimacs_sha256": sha})
-    assert cert.evidence["dimacs_sha256"] == sha
+    assert cert["evidence"]["dimacs_sha256"] == sha
     for build in (lambda: arrows_edges(k5, spec),
                   lambda: is_free_edge_coloring(k5, spec, planted),
                   lambda: decode_model(k5, spec, model)):

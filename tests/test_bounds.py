@@ -50,17 +50,16 @@ def test_certificate_k6():
     outcome = arrows_edges(complete(6), spec)
     assert outcome.verdict is Verdict.ARROWS
     cert = bound_certificate(complete(6), spec, 7, outcome)
-    assert cert.bound == "F_e(3,3;7) <= 6"
-    assert cert.clique_number == 6
-    assert parse_graph6(cert.graph6) == complete(6)
-    obj = cert.to_json_obj()
-    assert obj["schema"] == "folkman-certificate/1"
-    assert obj["folkman_version"] == folkman.__version__
-    assert obj["evidence"]["kind"] == "native-search"
-    assert obj["evidence"]["checked"] is True
+    assert cert["bound"] == "F_e(3,3;7) <= 6"
+    assert cert["clique_number"] == 6
+    assert parse_graph6(cert["graph"]["graph6"]) == complete(6)
+    assert cert["schema"] == "folkman-certificate/1"
+    assert cert["folkman_version"] == folkman.__version__
+    assert cert["evidence"]["kind"] == "native-search"
+    assert cert["evidence"]["checked"] is True
     # 19 nodes before the symmetry cut; K6's 5 generators cut 2 branches.
-    assert obj["evidence"]["stats"]["nodes"] == 13
-    assert obj["evidence"]["stats"]["generators"] == 5
+    assert cert["evidence"]["stats"]["nodes"] == 13
+    assert cert["evidence"]["stats"]["generators"] == 5
 
 
 def test_certificate_rejects_ineligible_clique():
@@ -90,7 +89,7 @@ def test_certificate_accepts_solver_unsat_record():
     spec = ArrowSpec((3, 3))
     record = solver_record(complete(6), spec, solver="some-external-solver")
     cert = bound_certificate(complete(6), spec, 7, record)
-    assert cert.evidence == {**record, "kind": "solver-unsat", "checked": False}
+    assert cert["evidence"] == {**record, "kind": "solver-unsat", "checked": False}
 
 
 def test_certificate_ties_records_to_instance():
@@ -111,7 +110,7 @@ def test_certificate_ties_records_to_instance():
         with pytest.raises(CertificateError, match="dimacs_sha256"):
             bound_certificate(k6, spec, 7, record)
     cert = bound_certificate(k6, spec, 7, solver_record(k6, spec))
-    assert cert.evidence["kind"] == "solver-unsat"
+    assert cert["evidence"]["kind"] == "solver-unsat"
 
 
 def test_certificate_checks_in_process_outcome_as_a_record():
@@ -128,7 +127,7 @@ def test_certificate_checks_in_process_outcome_as_a_record():
     assert k5_vertices.verdict is Verdict.ARROWS
     with pytest.raises(CertificateError, match="'vertices' search"):
         bound_certificate(complete(5), spec, 7, k5_vertices)
-    evidence = bound_certificate(complete(6), spec, 7, k6).evidence
+    evidence = bound_certificate(complete(6), spec, 7, k6)["evidence"]
     assert evidence == {"kind": "native-search", "checked": True,
                         "stats": k6.stats.to_json_obj()}
 
@@ -136,7 +135,7 @@ def test_certificate_checks_in_process_outcome_as_a_record():
 def test_certificate_record_keys_do_not_override_its_own():
     spec = ArrowSpec((3, 3))
     record = solver_record(complete(6), spec, kind="native-search", checked=True)
-    evidence = bound_certificate(complete(6), spec, 7, record).evidence
+    evidence = bound_certificate(complete(6), spec, 7, record)["evidence"]
     assert (evidence["kind"], evidence["checked"]) == ("solver-unsat", False)
     assert evidence["dimacs_sha256"] == record["dimacs_sha256"]
 
@@ -171,8 +170,8 @@ def test_certificate_catalog_gate():
     g = build_theorem_graph()
     spec = ArrowSpec((3, 5))
     cert = bound_certificate(g, spec, 13, solver_record(g, spec))
-    assert cert.bound == "F_e(3,5;13) <= 21"
-    assert cert.evidence["dimacs_sha256"] == THEOREM_SHA256
+    assert cert["bound"] == "F_e(3,5;13) <= 21"
+    assert cert["evidence"]["dimacs_sha256"] == THEOREM_SHA256
 
 
 def test_certificate_rejects_sat_solver_record():

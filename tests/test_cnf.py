@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -73,6 +74,16 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 2 2\n1 2 0\n")  # clause count mismatch
     with pytest.raises(CnfError):
         parse_dimacs("p cnf 1 1\n1 2 0\n")  # variable out of range
+    with pytest.raises(CnfError, match="second problem line"):
+        parse_dimacs("p cnf 3 1\n1 2 0\np cnf 2 1\n")
+    for header in ("p cnf -1 0\n", "p cnf 2 -1\n"):
+        with pytest.raises(CnfError, match="negative count"):
+            parse_dimacs(header)
+    for text, message in (
+            ("p cnf 2 1\n1 x 0\n", "line 2: non-integer token in '1 x 0'"),
+            ("p cnf two 1\n1 2 0\n", "line 1: non-integer token in 'p cnf two 1'")):
+        with pytest.raises(CnfError, match=re.escape(message)):
+            parse_dimacs(text)
 
 
 def test_satisfiability_matches_search_small():
