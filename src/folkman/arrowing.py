@@ -72,6 +72,7 @@ class EdgeColoring:
     """Total color assignment on E(host), aligned to the canonical edge list."""
 
     __slots__ = ("host", "colors")
+    kind = "edges"
 
     def __init__(self, host: Graph, colors: tuple[int, ...]):
         self.host = host
@@ -81,6 +82,7 @@ class EdgeColoring:
                 f"{len(self.colors)} colors for {self.host.edge_count} edges")
 
     def to_json_obj(self) -> list[list[int]]:
+        """[u, v, color] per edge, in canonical edge order."""
         return [[u, v, c] for (u, v), c in zip(edges(self.host), self.colors)]
 
     @staticmethod
@@ -103,12 +105,17 @@ class VertexColoring:
     """Total color assignment on V(host)."""
 
     __slots__ = ("host", "colors")
+    kind = "vertices"
 
     def __init__(self, host: Graph, colors: tuple[int, ...]):
         self.host = host
         self.colors = colors
         if len(self.colors) != self.host.n:
             raise ColoringError(f"{len(self.colors)} colors for {self.host.n} vertices")
+
+    def to_json_obj(self) -> list[int]:
+        """The color of each vertex, by index."""
+        return list(self.colors)
 
 
 class Verdict(enum.Enum):
@@ -174,7 +181,7 @@ class SearchBudget:
 
 class SearchOutcome:
     """The verdict of one search and the instance it decided: `search` is
-    "edges" or "vertices"."""
+    the `kind` of the colorings searched, "edges" or "vertices"."""
 
     __slots__ = ("verdict", "witness", "stats", "graph", "spec", "search")
 
@@ -213,13 +220,14 @@ class ArrowInstance:
     id is an index into it.  `cliques[i]` holds every forbidden clique of
     color i+1, in lexicographic order, as (clique, ascending item ids);
     that order fixes the CNF clause order and which violation is reported
-    first.  `masks` holds the cliques' item bitmasks; it and the search-only
-    data `by_edge`, `order`, `domains`, `bounds` and `symmetries` are built
-    on first read, by the search and the free-coloring check (`violation`),
-    so encoding never pays for them.
+    first.  `coloring` is the class of its colorings.  The search-only data
+    `by_edge` (which holds the cliques' item bitmasks), `order`, `domains`,
+    `bounds` and `symmetries` are built on first read, by the search, so
+    encoding and the free-coloring check (`violation`, which reads the
+    cliques' item ids) never pay for them.
     """
 
-    search = "edges"
+    coloring = EdgeColoring
 
     def __init__(self, g: Graph, spec: ArrowSpec):
         self.g = g
@@ -247,23 +255,19 @@ class ArrowInstance:
         return [(c, tuple([rows[u][v] for u, v in combinations(c, 2)])) for c in cliques]
 
     @cached_property
-    def masks(self) -> tuple[list[int], ...]:
-        """masks[i][j]: the item bitmask of clique `cliques[i][j]`."""
-        return tuple([mask_of(ids) for _, ids in constraints]
-                     for constraints in self.cliques)
-
-    @cached_property
     def by_edge(self) -> tuple[list[list[int]], ...]:
-        """by_edge[i][e]: for each color-(i+1) clique containing item e, the
-        bitmask of its other items.  Coloring e with color i+1 completes the
-        clique iff all of those already have that color; the search's
+        """by_edge[i][e]: the item bitmask of each color-(i+1) clique
+        containing item e, in clique order; a clique's one int is shared by
+        all of its items.  Coloring e with color i+1 completes the clique
+        iff all of its other items already have that color; the search's
         propagation looks here for cliques left one uncolored item short."""
         out = []
-        for constraints, masks in zip(self.cliques, self.masks):
+        for constraints in self.cliques:
             per_item: list[list[int]] = [[] for _ in self.items]
-            for (_, ids), mask in zip(constraints, masks):
+            for _, ids in constraints:
+                mask = mask_of(ids)
                 for e in ids:
-                    per_item[e].append(mask & ~(1 << e))
+                    per_item[e].append(mask)
             out.append(per_item)
         return tuple(out)
 
@@ -341,14 +345,15 @@ class ArrowInstance:
 
     def violation(self, colors) -> tuple[int, tuple[int, ...]] | None:
         """The first (color, clique) whose items all carry that color under
-        the total coloring `colors` (aligned to `items`), or None if free."""
-        class_mask = [0] * (self.spec.r + 1)
-        for e, c in enumerate(colors):
-            class_mask[c] |= 1 << e
-        for i, (constraints, masks) in enumerate(zip(self.cliques, self.masks), start=1):
-            have = class_mask[i]
-            for (clique, _), mask in zip(constraints, masks):
-                if mask & have == mask:
+        the total coloring `colors` (aligned to `items`), or None if free.
+        It compares each clique's item ids with the colors, and reads none
+        of the search's data."""
+        for i, constraints in enumerate(self.cliques, start=1):
+            for clique, ids in constraints:
+                for e in ids:
+                    if colors[e] != i:
+                        break
+                else:
                     return i, clique
         return None
 
@@ -358,7 +363,7 @@ class VertexInstance(ArrowInstance):
     a clique's item ids are its own vertices.  The neighborhood caps are
     about edge colorings, so `bounds` is None."""
 
-    search = "vertices"
+    coloring = VertexColoring
     bounds = None
 
     def _items(self):
@@ -454,7 +459,9 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     ascending, and no other.  `col[e]` is the color e was given last, by a
     decision or by propagation; it is never undone, so it is read only
     while e is assigned.  Giving an item color c visits every forbidden
-    color-c clique through it: once all items of such a clique but one
+    color-c clique through it, reading the clique's whole item bitmask from
+    `inst.by_edge` (the item itself has color c, so it is neither of
+    another color nor uncolored): once all items of such a clique but one
     uncolored item f have color c, c leaves f's domain.  An empty domain is
     a conflict; a single color left forces f to it at once, and forcing
     cascades within the same decision.  With `inst.bounds` set (edge
@@ -489,7 +496,8 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     so a node budget of N tries N.  `propagations` counts forced
     assignments.  With `progress_every` N > 0 a progress line goes to
     standard error every N nodes.  A free coloring found is checked against
-    the instance before it is returned.
+    the instance before it is returned, by `inst.violation`, which reads the
+    cliques' item ids and none of the bitmasks the search read.
 
     `stats.setup_seconds` runs from `setup_start` (monotonic clock; the
     callers read it before building `inst`, default the call) to the start
@@ -577,10 +585,10 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
                 other = assigned & ~color_mask[d]  # items of another color
                 free = ~assigned
                 dbit = 1 << d
-                for rest in by_edge[d][f]:
-                    if rest & other:
+                for mask in by_edge[d][f]:
+                    if mask & other:
                         continue
-                    miss = rest & free  # the clique's items not colored yet
+                    miss = mask & free  # the clique's items not colored yet
                     if miss & (miss - 1):
                         continue
                     if not miss:  # all colored d: two forced items closed it
@@ -638,12 +646,12 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     stats.setup_seconds = start - setup_start
     stats.seconds = time.monotonic() - start
     if verdict is not Verdict.FREE_COLORING:
-        return SearchOutcome(verdict, None, stats, g, spec, inst.search)
+        return SearchOutcome(verdict, None, stats, g, spec, inst.coloring.kind)
     colors = tuple(col)
     if inst.violation(colors) is not None:
         raise RuntimeError("search produced a non-free witness")
-    coloring = EdgeColoring if inst.search == "edges" else VertexColoring
-    return SearchOutcome(verdict, coloring(g, colors), stats, g, spec, inst.search)
+    return SearchOutcome(verdict, inst.coloring(g, colors), stats, g, spec,
+                         inst.coloring.kind)
 
 
 def arrows_vertices(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,

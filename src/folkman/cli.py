@@ -27,8 +27,8 @@ import sys
 from pathlib import Path
 
 from . import graphs
-from .arrowing import (ArrowSpec, EdgeColoring, SearchBudget, SearchOutcome,
-                       Verdict, arrows_edges, arrows_vertices)
+from .arrowing import (ArrowSpec, SearchBudget, SearchOutcome, Verdict,
+                       arrows_edges, arrows_vertices)
 from .graphs import Graph, complete, cycle, circulant, emit_graph6, join, max_clique
 
 EXIT_ARROWS = 0
@@ -94,15 +94,9 @@ def _dump_json(obj, path: str | None) -> str:
 
 
 def _witness_obj(g: Graph, spec: ArrowSpec, witness) -> dict:
-    obj = {"schema": WITNESS_SCHEMA, "graph6": emit_graph6(g),
-           "label": g.label, "spec": list(spec.sizes)}
-    if isinstance(witness, EdgeColoring):
-        obj["kind"] = "edges"
-        obj["coloring"] = witness.to_json_obj()
-    else:
-        obj["kind"] = "vertices"
-        obj["coloring"] = list(witness.colors)
-    return obj
+    return {"schema": WITNESS_SCHEMA, "graph6": emit_graph6(g),
+            "label": g.label, "spec": list(spec.sizes),
+            "kind": witness.kind, "coloring": witness.to_json_obj()}
 
 
 def cmd_construct(args) -> int:

@@ -8,6 +8,8 @@ only writes DIMACS, reads models back, and re-verifies them.
 """
 from __future__ import annotations
 
+import re
+
 from .graphs import Graph, edges
 from .arrowing import ArrowInstance, ArrowSpec, EdgeColoring
 
@@ -87,11 +89,21 @@ def emit_dimacs(f: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A DIMACS integer: ASCII digits with an optional minus sign.  `int()` alone
+# would also take `+1`, `1_0` and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _ints(tokens, number: int, line: str) -> list[int]:
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        raise CnfError(f"line {number}: non-integer token in {line!r}") from None
+    """The integers `tokens` spell; the tokenizer of `parse_dimacs` and
+    `parse_model`.  A token that is not `_INTEGER` is refused, naming line
+    `number` and its text."""
+    if all(map(_INTEGER.fullmatch, tokens)):
+        try:
+            return list(map(int, tokens))
+        except ValueError:  # more digits than int() converts
+            pass
+    raise CnfError(f"line {number}: non-integer token in {line!r}")
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -141,16 +153,16 @@ def parse_dimacs(text: str) -> CnfFormula:
 
 def parse_model(text: str) -> list[int]:
     """SAT-competition model output: literals from 'v ' lines, 0-terminated.
-    The model of a formula with no variables is empty: a lone `v 0`."""
+    The model of a formula with no variables is empty: a lone `v 0`.  A
+    token that is not an integer is refused."""
     lits: list[int] = []
     seen = done = False
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line.startswith("v"):
             continue
         seen = True
-        for tok in line[1:].split():
-            lit = int(tok)
+        for lit in _ints(line[1:].split(), number, line):
             if lit == 0:
                 done = True
                 break

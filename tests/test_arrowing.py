@@ -628,33 +628,34 @@ def test_only_the_search_finds_automorphisms(monkeypatch):
         arrows_edges(k5, spec)
 
 
-def test_only_the_search_and_the_checks_build_clique_masks(monkeypatch):
-    # The encoder and `certify`'s solver route read each clique's item ids
-    # only; the item bitmasks are built on first read, for the search's
-    # `by_edge` and for `violation`.
+def test_only_the_search_builds_clique_masks(monkeypatch):
+    # The encoder, `certify`'s solver route, the free-coloring check and the
+    # decoder read each clique's item ids only; the item bitmasks are built
+    # on first read of the search's `by_edge`, so a fault in them cannot
+    # reach the check of the search's result.
     k5, spec = complete(5), ArrowSpec((3, 3))
     planted = list(pentagon_pentagram(k5).colors)
     planted[edges(k5).index((0, 1))] = 2  # closes the color-2 triangle 0, 1, 3
     planted = EdgeColoring(k5, tuple(planted))
     model = [e + 1 if c == 1 else -(e + 1) for e, c in enumerate(planted.colors)]
 
-    def refuse(ids):
-        raise AssertionError("clique masks built")
-    monkeypatch.setattr(arrowing, "mask_of", refuse)
+    calls = []
+    real = arrowing.mask_of
+    monkeypatch.setattr(arrowing, "mask_of", lambda ids: calls.append(ids) or real(ids))
     assert encode_edge_arrowing(k5, spec).num_vars == 10
     k6 = complete(6)
     sha = dimacs_sha256(emit_dimacs(encode_edge_arrowing(k6, spec)))
     cert = bound_certificate(k6, spec, 7, {"status": "UNSAT", "dimacs_sha256": sha})
     assert cert["evidence"]["dimacs_sha256"] == sha
-    for build in (lambda: arrows_edges(k5, spec),
-                  lambda: is_free_edge_coloring(k5, spec, planted),
-                  lambda: decode_model(k5, spec, model)):
-        with pytest.raises(AssertionError, match="clique masks built"):
-            build()
-    monkeypatch.undo()
     assert is_free_edge_coloring(k5, spec, planted) == (False, (2, (0, 1, 3)))
     with pytest.raises(CnfError, match=r"clique \(0, 1, 3\) is monochromatic in color 2"):
         decode_model(k5, spec, model)
+    pentagon = pentagon_pentagram(k5)
+    model = [e + 1 if c == 1 else -(e + 1) for e, c in enumerate(pentagon.colors)]
+    assert decode_model(k5, spec, model).colors == pentagon.colors
+    assert calls == []
+    arrows_edges(k5, spec)
+    assert len(calls) == 20  # once per triangle of K5, per color
 
 
 def test_clique_item_ids_name_its_edges():
@@ -664,12 +665,18 @@ def test_clique_item_ids_name_its_edges():
                        rng)
         elist = edges(g)
         inst = ArrowInstance(g, ArrowSpec((2, 3, 4)))
-        for constraints, masks in zip(inst.cliques, inst.masks):
-            for (clique, ids), mask in zip(constraints, masks):
+        for constraints, per_item in zip(inst.cliques, inst.by_edge):
+            through = [[] for _ in elist]
+            for clique, ids in constraints:
                 assert list(ids) == sorted(set(ids)), (g.adj, clique)
                 pairs = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
                 assert sorted(elist[e] for e in ids) == pairs, (g.adj, clique)
-                assert mask == sum(1 << e for e in ids)
+                mask = per_item[ids[0]][len(through[ids[0]])]
+                assert mask == sum(1 << e for e in ids), (g.adj, clique)
+                for e in ids:  # one int, shared by all of the clique's items
+                    assert per_item[e][len(through[e])] is mask, (g.adj, clique)
+                    through[e].append(mask)
+            assert per_item == through, g.adj
 
 
 def test_non_free_witness_raises(monkeypatch):

@@ -81,7 +81,13 @@ def test_parse_dimacs_errors():
             parse_dimacs(header)
     for text, message in (
             ("p cnf 2 1\n1 x 0\n", "line 2: non-integer token in '1 x 0'"),
-            ("p cnf two 1\n1 2 0\n", "line 1: non-integer token in 'p cnf two 1'")):
+            ("p cnf two 1\n1 2 0\n", "line 1: non-integer token in 'p cnf two 1'"),
+            # int() alone reads these as [[10]] and [[1, 2]].
+            ("p cnf 10 1\n1_0 0\n", "line 2: non-integer token in '1_0 0'"),
+            ("p cnf 2 1\n+1 \uff12 0\n", "line 2: non-integer token in '+1 \uff12 0'"),
+            ("p cnf 2 1\n1 \u0662 0\n", "line 2: non-integer token in '1 \u0662 0'"),
+            ("p cnf +2 1\n1 0\n", "line 1: non-integer token in 'p cnf +2 1'"),
+            ("p cnf 2 1\n1 " + "1" * 5000 + " 0\n", "line 2: non-integer token")):
         with pytest.raises(CnfError, match=re.escape(message)):
             parse_dimacs(text)
 
@@ -174,6 +180,13 @@ def test_parse_model():
     assert parse_model("s SATISFIABLE\nv 0\n") == []
     with pytest.raises(CnfError):
         parse_model("s UNSATISFIABLE\n")
+    for text, message in (("v 1 x 0\n", "line 1: non-integer token in 'v 1 x 0'"),
+                          ("s SATISFIABLE\nv 1 1_0 0\n",
+                           "line 2: non-integer token in 'v 1 1_0 0'"),
+                          ("v +1 0\n", "line 1: non-integer token in 'v +1 0'"),
+                          ("v \uff11 0\n", "line 1: non-integer token in 'v \uff11 0'")):
+        with pytest.raises(CnfError, match=re.escape(message)):
+            parse_model(text)
 
 
 def test_formula_validation():

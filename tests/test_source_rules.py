@@ -58,20 +58,39 @@ def test_search_reads_no_spec_sizes():
     assert lines == [], f"_search reads .sizes on line(s) {lines}"
 
 
-def test_encoder_reads_no_search_data():
-    # Encoding pays only for the instance's cliques and their item ids: the
-    # search index and the clique bitmasks are built on first read, and
-    # cnf.py must not be that reader.
-    tree = ast.parse((SRC / "cnf.py").read_text())
-    search_only = {"by_edge", "order", "domains", "bounds", "symmetries", "masks",
-                   "mask_of"}
-    read = [(node.lineno, name) for node in ast.walk(tree)
+SEARCH_ONLY = {"by_edge", "order", "domains", "bounds", "symmetries", "mask_of"}
+
+
+def names_read(tree) -> list[tuple[int, str]]:
+    """(line, name) for each attribute, name and imported name in `tree`."""
+    return [(node.lineno, name) for node in ast.walk(tree)
             for name in ([node.attr] if isinstance(node, ast.Attribute)
                          else [node.id] if isinstance(node, ast.Name)
                          else [a.name for a in node.names]
-                         if isinstance(node, ast.ImportFrom) else [])
-            if name in search_only]
+                         if isinstance(node, ast.ImportFrom) else [])]
+
+
+def test_encoder_reads_no_search_data():
+    # Encoding pays only for the instance's cliques and their item ids: the
+    # search index, which holds the clique bitmasks, is built on first read,
+    # and cnf.py must not be that reader.  `masks`, the bitmasks' former
+    # home, stays forbidden so that it cannot come back unnoticed.
+    tree = ast.parse((SRC / "cnf.py").read_text())
+    read = [(line, name) for line, name in names_read(tree)
+            if name in SEARCH_ONLY | {"masks"}]
     assert read == [], f"cnf.py reads search-only data: {read}"
+
+
+def test_free_coloring_check_reads_no_search_data():
+    # `violation` checks every witness the search returns, so it reads the
+    # cliques' item ids and the colors, and shares no data with the search.
+    tree = ast.parse((SRC / "arrowing.py").read_text())
+    instance = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "ArrowInstance")
+    check = next(node for node in instance.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "violation")
+    read = [(line, name) for line, name in names_read(check) if name in SEARCH_ONLY]
+    assert read == [], f"ArrowInstance.violation reads search-only data: {read}"
 
 
 def test_oracles_import_only_graph_from_package():
