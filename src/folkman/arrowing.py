@@ -51,7 +51,14 @@ class ArrowSpec:
 
     @staticmethod
     def parse(text: str) -> "ArrowSpec":
-        return ArrowSpec(tuple(int(t) for t in text.split(",")))
+        """The spec `text` spells: comma-separated sizes, each ASCII digits
+        with optional spaces around them.  `int()` alone would also take
+        `+3`, `1_0` and non-ASCII digits; anything but digits is refused."""
+        tokens = [t.strip() for t in text.split(",")]
+        if not all(t.isascii() and t.isdigit() for t in tokens):
+            raise ValueError(f"spec {text!r}: sizes must be comma-separated "
+                             "decimal integers")
+        return ArrowSpec(tuple(map(int, tokens)))
 
     def __str__(self):
         return ",".join(map(str, self.sizes))
@@ -218,13 +225,15 @@ class ArrowInstance:
     colored: here an edge; `VertexInstance` asks the question of vertices.
     `items` lists them, here the canonical edge list `edges(g)`, and an item
     id is an index into it.  `cliques[i]` holds every forbidden clique of
-    color i+1, in lexicographic order, as (clique, ascending item ids);
-    that order fixes the CNF clause order and which violation is reported
-    first.  `coloring` is the class of its colorings.  The search-only data
-    `by_edge` (which holds the cliques' item bitmasks), `order`, `domains`,
-    `bounds` and `symmetries` are built on first read, by the search, so
-    encoding and the free-coloring check (`violation`, which reads the
-    cliques' item ids) never pay for them.
+    color i+1 once, as the ascending tuple of its item ids, in the
+    lexicographic order of the cliques' vertex tuples; that order fixes the
+    CNF clause order and which violation is reported first.  A clique's
+    vertices are not kept: `violation` works them out from `items` for the
+    one clique it reports.  `coloring` is the class of its colorings.  The
+    search-only data `by_edge` (which holds the cliques' item bitmasks),
+    `order`, `domains`, `bounds` and `symmetries` are built on first read,
+    by the search, so encoding and the free-coloring check (`violation`,
+    which reads the cliques' item ids) never pay for them.
     """
 
     coloring = EdgeColoring
@@ -233,7 +242,7 @@ class ArrowInstance:
         self.g = g
         self.spec = spec
         self.items = self._items()
-        self.cliques = tuple(self._with_ids(enumerate_cliques(g, a)) for a in spec.sizes)
+        self.cliques = tuple(self._ids(enumerate_cliques(g, a)) for a in spec.sizes)
 
     def _items(self):
         return edges(self.g)
@@ -248,11 +257,16 @@ class ArrowInstance:
             rows[u][v] = rows[v][u] = e
         return rows
 
-    def _with_ids(self, cliques) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        # Each clique with its item ids.  The pairs of an ascending clique
-        # come out in lexicographic order, hence in ascending edge id.
+    def _ids(self, cliques) -> list[tuple[int, ...]]:
+        # Each clique's edge ids, from its ascending vertex tuple.  The pairs
+        # of such a tuple come out in lexicographic order, hence in
+        # ascending edge id.
         rows = self._edge_ids
-        return [(c, tuple([rows[u][v] for u, v in combinations(c, 2)])) for c in cliques]
+        return [tuple([rows[u][v] for u, v in combinations(c, 2)]) for c in cliques]
+
+    def _vertices(self, ids) -> tuple[int, ...]:
+        # The clique whose edge ids are `ids`: their endpoints, ascending.
+        return tuple(sorted({v for e in ids for v in self.items[e]}))
 
     @cached_property
     def by_edge(self) -> tuple[list[list[int]], ...]:
@@ -264,7 +278,7 @@ class ArrowInstance:
         out = []
         for constraints in self.cliques:
             per_item: list[list[int]] = [[] for _ in self.items]
-            for _, ids in constraints:
+            for ids in constraints:
                 mask = mask_of(ids)
                 for e in ids:
                     per_item[e].append(mask)
@@ -277,7 +291,7 @@ class ArrowInstance:
         ties in lexicographic order, so monochromatic-clique constraints
         complete as early as possible."""
         count = [0] * len(self.items)
-        for _, ids in self._with_ids(enumerate_cliques(self.g, len(max_clique(self.g)))):
+        for ids in self._ids(enumerate_cliques(self.g, len(max_clique(self.g)))):
             for e in ids:
                 count[e] += 1
         return sorted(range(len(self.items)), key=lambda e: -count[e])
@@ -301,7 +315,7 @@ class ArrowInstance:
         r = self.spec.r
         dom = [(1 << (r + 1)) - 2] * len(self.items)
         for c, constraints in enumerate(self.cliques, start=1):
-            for _, ids in constraints:
+            for ids in constraints:
                 if len(ids) == 1:  # this item alone is a forbidden color-c clique
                     dom[ids[0]] &= ~(1 << c)
         if len(set(self.spec.sizes)) == 1 and dom:
@@ -345,23 +359,25 @@ class ArrowInstance:
 
     def violation(self, colors) -> tuple[int, tuple[int, ...]] | None:
         """The first (color, clique) whose items all carry that color under
-        the total coloring `colors` (aligned to `items`), or None if free.
-        It compares each clique's item ids with the colors, and reads none
-        of the search's data."""
+        the total coloring `colors` (aligned to `items`), or None if free;
+        the clique is its ascending vertex tuple.  It compares each clique's
+        item ids with the colors, reads none of the search's data, and
+        works out the vertices only of the clique it reports."""
         for i, constraints in enumerate(self.cliques, start=1):
-            for clique, ids in constraints:
+            for ids in constraints:
                 for e in ids:
                     if colors[e] != i:
                         break
                 else:
-                    return i, clique
+                    return i, self._vertices(ids)
         return None
 
 
 class VertexInstance(ArrowInstance):
     """The vertex-arrowing question: the items are the vertices 0..n-1, so
-    a clique's item ids are its own vertices.  The neighborhood caps are
-    about edge colorings, so `bounds` is None."""
+    a clique's item ids are its own vertices, and `cliques` holds the
+    tuples `enumerate_cliques` returns.  The neighborhood caps are about
+    edge colorings, so `bounds` is None."""
 
     coloring = VertexColoring
     bounds = None
@@ -369,8 +385,10 @@ class VertexInstance(ArrowInstance):
     def _items(self):
         return range(self.g.n)
 
-    def _with_ids(self, cliques) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return [(c, c) for c in cliques]
+    def _ids(self, cliques) -> list[tuple[int, ...]]:
+        return cliques
+
+    _vertices = _ids  # a vertex clique's item ids are its vertices
 
     def _item_image(self, perm) -> dict[int, int]:
         return dict(enumerate(perm))

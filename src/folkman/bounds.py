@@ -157,6 +157,9 @@ def _evidence_record(g: Graph, spec: ArrowSpec, evidence) -> dict:
             raise CertificateError(
                 f"search outcome is from a {evidence.search!r} search; an edge "
                 "Folkman bound needs an 'edges' search")
+        if evidence.verdict is Verdict.FREE_COLORING:
+            raise CertificateError(
+                f"the search found a free coloring, so the graph does not arrow ({spec})")
         if evidence.verdict is not Verdict.ARROWS:
             raise CertificateError(
                 f"search outcome is inconclusive: {evidence.verdict.value}")

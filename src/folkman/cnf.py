@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .graphs import Graph, edges
+from .graphs import Graph
 from .arrowing import ArrowInstance, ArrowSpec, EdgeColoring
 
 
@@ -42,11 +42,6 @@ class CnfFormula:
         return self.num_vars == other.num_vars and self.clauses == other.clauses
 
 
-def edge_variable_map(g: Graph) -> dict[tuple[int, int], int]:
-    """Edge (u,v), u<v, lexicographic -> DIMACS variable, numbered from 1."""
-    return {e: i + 1 for i, e in enumerate(edges(g))}
-
-
 def encode_edge_arrowing(g: Graph, spec: ArrowSpec) -> CnfFormula:
     """One clause per forbidden clique: all-blue forbidden for size a_1
     (all literals negative), all-red forbidden for size a_2 (all positive).
@@ -56,8 +51,8 @@ def encode_edge_arrowing(g: Graph, spec: ArrowSpec) -> CnfFormula:
         raise CnfError("CNF encoding supports 2-color specs only")
     inst = ArrowInstance(g, spec)
     blue, red = inst.cliques
-    clauses = [[-(e + 1) for e in eids] for _, eids in blue]
-    clauses += [[e + 1 for e in eids] for _, eids in red]
+    clauses = [[-(e + 1) for e in eids] for eids in blue]
+    clauses += [[e + 1 for e in eids] for eids in red]
     comments = [
         f"graph {g.label or 'unlabeled'} n={g.n} m={g.edge_count}",
         f"spec {spec} (true = color 1 = blue, false = color 2 = red)",
@@ -199,13 +194,12 @@ def decode_model(g: Graph, spec: ArrowSpec, model) -> EdgeColoring:
     if missing:
         raise CnfError(f"model leaves variables unassigned: {missing[:5]}")
     colors = tuple(1 if assignment[i] else 2 for i in range(1, num_vars + 1))
-    coloring = EdgeColoring(g, colors)
     violation = inst.violation(colors)
     if violation is not None:
         raise CnfError(
             f"model decodes to a non-free coloring: clique {violation[1]} is "
             f"monochromatic in color {violation[0]} (encoder/solver inconsistency)")
-    return coloring
+    return EdgeColoring(g, colors)
 
 
 def dimacs_sha256(text: str) -> str:

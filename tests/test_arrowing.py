@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
@@ -17,7 +18,7 @@ from folkman.bounds import bound_certificate, build_q, build_theorem_graph
 from folkman.cnf import (CnfError, decode_model, dimacs_sha256, emit_dimacs,
                          encode_edge_arrowing)
 from oracles import (brute_arrows_edges, brute_arrows_edges_2color,
-                     brute_arrows_vertices, brute_first_free_coloring,
+                     brute_arrows_vertices, brute_cliques, brute_first_free_coloring,
                      brute_first_free_vertex_coloring, disjoint_union,
                      random_graph, relabelled)
 
@@ -42,6 +43,15 @@ def test_arrow_spec_validation():
     with pytest.raises(ValueError):
         ArrowSpec((3, 3, 3, 3, 3))
     assert ArrowSpec.parse("3,5").sizes == (3, 5)
+    assert ArrowSpec.parse(" 3 , 5 ").sizes == (3, 5)
+    assert ArrowSpec.parse("03,4").sizes == (3, 4)
+    # Each size is ASCII digits: int() alone would read `1_0` as 10,
+    # fullwidth digits as ASCII ones and `+3` as 3.
+    for text in ("1_0,3", "\uff13,\uff15", "+3,4", "-3,4", "3,x", "3,4,", "3,,4", "",
+                 "3.0,4", "\u00b3,4"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"spec {text!r}: sizes must be comma-separated decimal integers")):
+            ArrowSpec.parse(text)
 
 
 def test_is_free_edge_coloring_pentagon():
@@ -109,6 +119,40 @@ def test_is_free_vertex_coloring():
         ok, violation = is_free_vertex_coloring(k5, ArrowSpec((3, 3)),
                                                 VertexColoring(k5, colors))
         assert not ok and violation == first
+
+
+def test_free_checks_report_the_first_violation():
+    # The instance keeps only each clique's item ids; the reported clique is
+    # still the first monochromatic one in color, then lexicographic, order.
+    rng = random.Random(83)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 9), p=rng.choice((0.4, 0.7, 1.0)))
+        sizes = tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 4)))
+        spec = ArrowSpec(sizes)
+        elist = edges(g)
+        ecolors = tuple(rng.randint(1, spec.r) for _ in elist)
+        vcolors = tuple(rng.randint(1, spec.r) for _ in range(g.n))
+        edge_color = dict(zip(elist, ecolors))
+        first_edge = next(((c, q) for c, a in enumerate(sizes, start=1)
+                           for q in brute_cliques(g, a)
+                           if all(edge_color[u, v] == c for i, u in enumerate(q)
+                                  for v in q[i + 1:])), None)
+        first_vertex = next(((c, q) for c, a in enumerate(sizes, start=1)
+                             for q in brute_cliques(g, a)
+                             if all(vcolors[v] == c for v in q)), None)
+        assert is_free_edge_coloring(g, spec, EdgeColoring(g, ecolors)) == (
+            first_edge is None, first_edge), (g.adj, sizes, ecolors)
+        assert is_free_vertex_coloring(g, spec, VertexColoring(g, vcolors)) == (
+            first_vertex is None, first_vertex), (g.adj, sizes, vcolors)
+        if spec.r == 2:
+            model = [e if c == 1 else -e for e, c in enumerate(ecolors, start=1)]
+            if first_edge is None:
+                assert decode_model(g, spec, model).colors == ecolors
+            else:
+                with pytest.raises(CnfError, match=re.escape(
+                        f"clique {first_edge[1]} is monochromatic in color "
+                        f"{first_edge[0]}")):
+                    decode_model(g, spec, model)
 
 
 def test_arrows_vertices_q():
@@ -665,10 +709,13 @@ def test_clique_item_ids_name_its_edges():
                        rng)
         elist = edges(g)
         inst = ArrowInstance(g, ArrowSpec((2, 3, 4)))
-        for constraints, per_item in zip(inst.cliques, inst.by_edge):
+        for a, constraints, per_item in zip((2, 3, 4), inst.cliques, inst.by_edge):
+            assert [tuple(sorted({v for e in ids for v in elist[e]})) for ids in constraints
+                    ] == brute_cliques(g, a), g.adj
             through = [[] for _ in elist]
-            for clique, ids in constraints:
-                assert list(ids) == sorted(set(ids)), (g.adj, clique)
+            for ids in constraints:
+                assert list(ids) == sorted(set(ids)), (g.adj, ids)
+                clique = sorted({v for e in ids for v in elist[e]})
                 pairs = [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
                 assert sorted(elist[e] for e in ids) == pairs, (g.adj, clique)
                 mask = per_item[ids[0]][len(through[ids[0]])]
@@ -677,6 +724,21 @@ def test_clique_item_ids_name_its_edges():
                     assert per_item[e][len(through[e])] is mask, (g.adj, clique)
                     through[e].append(mask)
             assert per_item == through, g.adj
+
+
+def test_vertex_instance_keeps_the_enumerated_cliques(monkeypatch):
+    # A vertex clique's item ids are its vertices, so the vertex instance
+    # holds the very lists `enumerate_cliques` returned and builds nothing.
+    returned = []
+    real = arrowing.enumerate_cliques
+    monkeypatch.setattr(arrowing, "enumerate_cliques",
+                        lambda g, k: returned.append(real(g, k)) or returned[-1])
+    g = join(complete(2), cycle(5))
+    inst = VertexInstance(g, ArrowSpec((2, 3, 4)))
+    assert len(returned) == 3
+    for constraints, cliques, a in zip(inst.cliques, returned, (2, 3, 4)):
+        assert constraints is cliques
+        assert constraints == brute_cliques(g, a)
 
 
 def test_non_free_witness_raises(monkeypatch):
@@ -744,6 +806,38 @@ def test_bounds_hold_on_free_colorings_of_k8():
         for color, cap in ((1, b1), (2, b2)):
             # in K8 every subset is a clique, so the cap bounds the degree
             assert len(_same_color_neighbors(g, out.witness, v, color)) <= cap
+
+
+def test_caps_from_r2t_prune_nothing_propagation_keeps():
+    # With a_1 = 3 the color-1 cap is R(2, a_2) - 1: it cuts a node whose
+    # edge uv leaves an a_2-clique in u's color-1 neighborhood.  Each edge of
+    # that clique closes a color-1 triangle through u, so propagation forces
+    # it to color 2, and the clique is then a color-2 a_2-clique: the same
+    # node dies for cause "clique".  Likewise for color 2 when a_2 = 3.  So
+    # lifting those caps (above n, where no clique reaches them) keeps the
+    # tree, and the prunes move only between "neighborhood" and "clique".
+    rng = random.Random(97)
+    specs = [(3, 3), (3, 4), (3, 5), (4, 3), (5, 3)]
+    moved = 0
+    for case in range(300):
+        spec = ArrowSpec(specs[case % len(specs)])
+        g = relabelled(random_graph(rng, rng.randint(5, 10), p=rng.choice((0.6, 0.8, 1.0))),
+                       rng)
+        budget = SearchBudget(max_nodes=3000)
+        capped = _search(ArrowInstance(g, spec), budget)
+        inst = ArrowInstance(g, spec)
+        inst.bounds = tuple(g.n + 1 if a == 3 else b
+                            for a, b in zip(spec.sizes, inst.bounds))
+        lifted = _search(inst, budget)
+        assert lifted.verdict is capped.verdict, (g.adj, spec)
+        assert (lifted.witness and lifted.witness.colors) == (
+            capped.witness and capped.witness.colors), (g.adj, spec)
+        assert lifted.stats.nodes == capped.stats.nodes, (g.adj, spec)
+        cut, kept = capped.stats.prunings, lifted.stats.prunings
+        assert kept.get("symmetry", 0) == cut.get("symmetry", 0), (g.adj, spec)
+        assert sum(kept.values()) == sum(cut.values()), (g.adj, spec)
+        moved += cut.get("neighborhood", 0) != kept.get("neighborhood", 0)
+    assert moved >= 100  # the caps lifted did cut nodes in the capped runs
 
 
 def test_theorem_graph_random_colorings_never_audit_clean():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import folkman
@@ -73,7 +75,9 @@ def test_certificate_rejects_free_coloring_evidence():
     spec = ArrowSpec((3, 3))
     outcome = arrows_edges(complete(5), spec)
     assert outcome.verdict is Verdict.FREE_COLORING
-    with pytest.raises(CertificateError):
+    # A free coloring refutes the arrowing: it is not an inconclusive run.
+    with pytest.raises(CertificateError, match=re.escape(
+            "the search found a free coloring, so the graph does not arrow (3,3)")):
         bound_certificate(complete(5), spec, 7, outcome)
 
 
@@ -81,7 +85,8 @@ def test_certificate_rejects_budget_exhausted_evidence():
     spec = ArrowSpec((3, 4))
     outcome = arrows_edges(complete(9), spec, budget=SearchBudget(max_nodes=50))
     assert outcome.verdict is Verdict.BUDGET_EXHAUSTED
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError,
+                       match="search outcome is inconclusive: budget-exhausted"):
         bound_certificate(complete(9), spec, 10, outcome)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from folkman.arrowing import ArrowInstance
 from folkman.cli import main
-from folkman.cnf import edge_variable_map
 from folkman.graphs import complete, cycle, edges, emit_graph6, join, parse_graph6
 from oracles import brute_arrows_edges_2color, relabelled
 
@@ -128,6 +127,13 @@ def test_usage_error_exit_3(capsys):
         assert last.startswith("error: ") and message in last, argv
 
 
+def test_spec_must_be_decimal_integers(capsys):
+    code, out, err = run(capsys, "arrows", "edges", "--graph", "K5", "--spec", "1_0,3")
+    assert (code, out) == (3, "")
+    assert err == ("error: spec '1_0,3': sizes must be comma-separated decimal "
+                   "integers\n")
+
+
 def test_encode_k3(capsys):
     code, out, _ = run(capsys, "encode", "--graph", "K3", "--spec", "3,3")
     assert code == 0
@@ -182,8 +188,7 @@ def test_encode_decode_pipeline(capsys, tmp_path):
     g = complete(5)
     arrows, witness = brute_arrows_edges_2color(g, (3, 3))
     assert not arrows
-    var = edge_variable_map(g)
-    lits = [var[e] if witness[e] == 1 else -var[e] for e in edges(g)]
+    lits = [i if witness[e] == 1 else -i for i, e in enumerate(edges(g), start=1)]
     model_path = tmp_path / "model.txt"
     model_path.write_text("s SATISFIABLE\nv " + " ".join(map(str, lits)) + " 0\n")
     wpath = tmp_path / "decoded.json"
@@ -441,6 +446,15 @@ def test_certify_budget(capsys, tmp_path):
     code, out, _ = run(capsys, "certify", "--graph", "K6", "--spec", "3,3", "--q", "7",
                        "--max-nodes", "5")
     assert (code, out) == (2, "verdict budget-exhausted\n")
+
+
+def test_certify_reports_a_free_coloring_as_a_refutation(capsys):
+    # K6 does not arrow (3,3,3): the search it runs finds a free coloring,
+    # which refutes the bound rather than leaving it open.
+    code, out, err = run(capsys, "certify", "--graph", "K6", "--spec", "3,3,3", "--q", "7")
+    assert (code, out) == (3, "")
+    assert err == ("error: the search found a free coloring, so the graph does not "
+                   "arrow (3,3,3)\n")
 
 
 def test_certify_refuses_budget_with_evidence(capsys, tmp_path):

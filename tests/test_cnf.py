@@ -5,8 +5,8 @@ import pytest
 
 from folkman.arrowing import ArrowSpec, Verdict, arrows_edges
 from folkman.cnf import (CnfError, CnfFormula, decode_model, dimacs_sha256,
-                         edge_variable_map, emit_dimacs,
-                         encode_edge_arrowing, parse_dimacs, parse_model)
+                         emit_dimacs, encode_edge_arrowing, parse_dimacs,
+                         parse_model)
 from folkman.graphs import complete, edges
 from folkman.bounds import build_theorem_graph
 from oracles import (brute_arrows_edges_2color, brute_cliques,
@@ -33,10 +33,15 @@ def test_encode_requires_two_colors():
 
 
 def test_variable_numbering_is_lexicographic():
+    # Variable i is the i-th edge of `edges(g)`, which lists the edges
+    # lexicographically; the encoder's comments name each variable's edge.
     g = complete(4)
-    var = edge_variable_map(g)
-    assert list(var) == edges(g)
-    assert list(var.values()) == list(range(1, 7))
+    var = {e: i for i, e in enumerate(edges(g), start=1)}
+    assert list(var) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    f = encode_edge_arrowing(g, ArrowSpec((3, 3)))
+    assert [c for c in f.comments if c.startswith("edge ")] == [
+        f"edge {i} {u} {v}" for (u, v), i in var.items()]
+    assert f.clauses[0] == [-var[0, 1], -var[0, 2], -var[1, 2]]
 
 
 def test_emit_header_and_roundtrip():
@@ -140,8 +145,7 @@ def test_decode_model_k5():
     # obtain a model from the independent brute-force route
     arrows, witness = brute_arrows_edges_2color(g, spec.sizes)
     assert not arrows
-    var = edge_variable_map(g)
-    model = [var[e] if witness[e] == 1 else -var[e] for e in edges(g)]
+    model = [i if witness[e] == 1 else -i for i, e in enumerate(edges(g), start=1)]
     coloring = decode_model(g, spec, model)
     assert coloring.colors == tuple(witness[e] for e in edges(g))
 
