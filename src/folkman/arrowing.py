@@ -53,12 +53,17 @@ class ArrowSpec:
     def parse(text: str) -> "ArrowSpec":
         """The spec `text` spells: comma-separated sizes, each ASCII digits
         with optional spaces around them.  `int()` alone would also take
-        `+3`, `1_0` and non-ASCII digits; anything but digits is refused."""
+        `+3`, `1_0` and non-ASCII digits; anything but digits is refused,
+        and so is a size with more digits than `int()` converts."""
         tokens = [t.strip() for t in text.split(",")]
         if not all(t.isascii() and t.isdigit() for t in tokens):
             raise ValueError(f"spec {text!r}: sizes must be comma-separated "
                              "decimal integers")
-        return ArrowSpec(tuple(map(int, tokens)))
+        try:
+            sizes = tuple(map(int, tokens))
+        except ValueError:  # over int()'s digit limit
+            raise ValueError("spec: a size has too many digits for int()") from None
+        return ArrowSpec(sizes)
 
     def __str__(self):
         return ",".join(map(str, self.sizes))
@@ -91,21 +96,6 @@ class EdgeColoring:
     def to_json_obj(self) -> list[list[int]]:
         """[u, v, color] per edge, in canonical edge order."""
         return [[u, v, c] for (u, v), c in zip(edges(self.host), self.colors)]
-
-    @staticmethod
-    def from_pairs(host: Graph, triples) -> "EdgeColoring":
-        want = {e: None for e in edges(host)}
-        for u, v, c in triples:
-            e = (u, v) if u < v else (v, u)
-            if e not in want:
-                raise ColoringError(f"({u},{v}) is not an edge of the host")
-            if want[e] is not None:
-                raise ColoringError(f"edge ({u},{v}) is colored twice")
-            want[e] = c
-        missing = [e for e, c in want.items() if c is None]
-        if missing:
-            raise ColoringError(f"edges left uncolored: {missing[:5]}...")
-        return EdgeColoring(host, tuple(want[e] for e in edges(host)))
 
 
 class VertexColoring:

@@ -53,16 +53,28 @@ class CliError(Exception):
     pass
 
 
+def _decimal(text: str, what: str) -> int:
+    """`text` as a number, by the rule `ArrowSpec.parse` applies to sizes:
+    ASCII digits with optional spaces around them (`int()` alone would also
+    take `+3`, `1_0` and non-ASCII digits), and no more digits than `int()`
+    converts.  `what` names the input in the error."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise CliError(f"{what}: {text!r} is not a decimal integer")
+    try:
+        return int(digits)
+    except ValueError:  # over int()'s digit limit
+        raise CliError(f"{what}: {len(digits)} digits, too many for int()") from None
+
+
 def resolve_graph(source: str) -> Graph:
-    """`K<n>`, `C<n>`, `@path` to a graph6 file, a literal graph6 string,
-    or a name in `bounds.BUILTIN_GRAPHS` (`q`, `theorem-graph`,
-    `lin-graph`; none of them is graph6)."""
-    m = re.fullmatch(r"K(\d+)", source)
+    """`K<n>`, `C<n>` (n in ASCII digits), `@path` to a graph6 file, a
+    literal graph6 string, or a name in `bounds.BUILTIN_GRAPHS` (`q`,
+    `theorem-graph`, `lin-graph`; none of them is graph6)."""
+    m = re.fullmatch(r"([KC])([0-9]+)", source)
     if m:
-        return complete(int(m.group(1)))
-    m = re.fullmatch(r"C(\d+)", source)
-    if m:
-        return cycle(int(m.group(1)))
+        n = _decimal(m[2], f"graph source {m[1]}<n>")
+        return complete(n) if m[1] == "K" else cycle(n)
     if source.startswith("@"):
         text = Path(source[1:]).read_text()
         try:
@@ -85,12 +97,9 @@ def _budget_from(args) -> SearchBudget | None:
     return SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
 
 
-def _dump_json(obj, path: str | None) -> str:
+def _dump_json(obj, path: str) -> None:
     import json
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path:
-        Path(path).write_text(text)
-    return text
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _witness_obj(g: Graph, spec: ArrowSpec, witness) -> dict:
@@ -106,7 +115,8 @@ def cmd_construct(args) -> int:
     if name == "circulant":
         if len(params) != 2:
             raise CliError("usage: construct circulant <n> <d1,d2,...>")
-        g = circulant(int(params[0]), [int(d) for d in params[1].split(",")])
+        g = circulant(_decimal(params[0], "circulant n"),
+                      [_decimal(d, "circulant offset") for d in params[1].split(",")])
     elif name == "join":
         if len(params) != 2:
             raise CliError("usage: construct join <graph> <graph>")
@@ -137,18 +147,16 @@ def _report_outcome(outcome: SearchOutcome, args) -> int:
         print(f"prunings.{cause} {count}")
     print(f"setup_seconds {outcome.stats.setup_seconds:.3f}", file=sys.stderr)
     print(f"seconds {outcome.stats.seconds:.3f}", file=sys.stderr)
+    if args.evidence_out:
+        _dump_json(outcome.to_json_obj(), args.evidence_out)
+        print(f"evidence {args.evidence_out}")
     if outcome.verdict is Verdict.FREE_COLORING:
         if args.witness:
             _dump_json(_witness_obj(outcome.graph, outcome.spec, outcome.witness),
                        args.witness)
             print(f"witness {args.witness}")
         return EXIT_FREE
-    if outcome.verdict is Verdict.ARROWS:
-        if args.evidence_out:
-            _dump_json(outcome.to_json_obj(), args.evidence_out)
-            print(f"evidence {args.evidence_out}")
-        return EXIT_ARROWS
-    return EXIT_BUDGET
+    return EXIT_ARROWS if outcome.verdict is Verdict.ARROWS else EXIT_BUDGET
 
 
 def cmd_arrows(args) -> int:
@@ -206,8 +214,8 @@ def cmd_certify(args) -> int:
             print(f"verdict {evidence.verdict.value}")
             return EXIT_BUDGET
     cert = bounds.bound_certificate(g, spec, args.q, evidence)
-    _dump_json(cert, args.output)
     if args.output:
+        _dump_json(cert, args.output)
         print(f"certificate {args.output}")
     print(f"bound {cert['bound']}")
     return 0

@@ -36,11 +36,6 @@ class CnfFormula:
                     raise CnfError(f"literal {lit} out of range for "
                                    f"{self.num_vars} variables")
 
-    def __eq__(self, other):
-        if not isinstance(other, CnfFormula):
-            return NotImplemented
-        return self.num_vars == other.num_vars and self.clauses == other.clauses
-
 
 def encode_edge_arrowing(g: Graph, spec: ArrowSpec) -> CnfFormula:
     """One clause per forbidden clique: all-blue forbidden for size a_1

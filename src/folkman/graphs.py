@@ -5,7 +5,6 @@ which keeps every set operation a single machine word pair for n <= 128.
 """
 from __future__ import annotations
 
-from itertools import combinations
 
 MAX_VERTICES = 128
 
@@ -58,9 +57,6 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return Graph(n, tuple(adj), label)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     @property
     def edge_count(self) -> int:
@@ -144,25 +140,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     adj += [(g2.adj[v] << g1.n) | lo for v in range(g2.n)]
     name = f"{g1.label}+{g2.label}" if g1.label and g2.label else ""
     return Graph(n, tuple(adj), name)
-
-
-def induced(g: Graph, members) -> Graph:
-    """Subgraph induced by `members`, relabeled 0..k-1 in ascending original order."""
-    vs = sorted(set(members))
-    if not vs:
-        raise GraphError("induced subgraph needs at least one vertex")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise GraphError(f"vertex set {vs} out of range for n={g.n}")
-    index = {v: i for i, v in enumerate(vs)}
-    adj = [0] * len(vs)
-    for v in vs:
-        m = g.adj[v]
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            if u in index:
-                adj[index[v]] |= 1 << index[u]
-    return Graph(len(vs), tuple(adj))
 
 
 def bits_of(mask: int):

@@ -81,7 +81,7 @@ def test_arrows_edges_k5_exit_1_with_witness(capsys, tmp_path):
     assert [tuple(t[:2]) for t in triples] == edges(complete(5))
     # witness re-verifies when fed back through the library
     from folkman.arrowing import ArrowSpec, EdgeColoring, is_free_edge_coloring
-    c = EdgeColoring.from_pairs(complete(5), triples)
+    c = EdgeColoring(complete(5), tuple(c for *_, c in triples))
     ok, _ = is_free_edge_coloring(complete(5), ArrowSpec((3, 3)), c)
     assert ok
 
@@ -357,6 +357,16 @@ def test_evidence_out_is_the_run_record(capsys, tmp_path):
     assert record["search"] == "edges"
 
 
+@pytest.mark.parametrize("argv, exit_code, verdict", [
+    (["--graph", "K5", "--spec", "3,3"], 1, "free-coloring"),
+    (["--graph", "K9", "--spec", "3,4", "--max-nodes", "3"], 2, "budget-exhausted")])
+def test_evidence_out_records_every_verdict(capsys, tmp_path, argv, exit_code, verdict):
+    evidence = tmp_path / "r.json"
+    code, out, _ = run(capsys, "arrows", "edges", *argv, "--evidence-out", str(evidence))
+    assert (code, out_map(out)["evidence"]) == (exit_code, str(evidence))
+    assert json.loads(evidence.read_text())["verdict"] == verdict
+
+
 def test_unwritable_output_exits_3(capsys, tmp_path):
     missing = tmp_path / "missing"
     code, out, err = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
@@ -377,6 +387,28 @@ def test_construct_bad_parameters_exit_3(capsys):
     assert err.startswith("error:")
     code, _, err = run(capsys, "construct", "circulant", "x", "1,5")
     assert code == 3 and err.startswith("error:")
+    # Numbers are ASCII digits, as in a spec: int() alone would build
+    # C13(1,5) from `1_3 +1,\uff15` and K5 from `K\uff15`.
+    for argv, message in [
+            (["circulant", "1_3", "1,5"], "circulant n: '1_3' is not a decimal integer"),
+            (["circulant", "13", "+1,5"], "circulant offset: '+1' is not"),
+            (["circulant", "13", "1,\uff15"], "circulant offset: '\uff15' is not"),
+            (["K\uff15"], "unknown graph source 'K\uff15'")]:
+        code, out, err = run(capsys, "construct", *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error: ") and message in err, argv
+    code, out, _ = run(capsys, "construct", "circulant", "13", " 1, 5")
+    assert code == 0 and out_map(out)["label"] == "C13(1,5)"
+
+
+def test_over_long_numbers_are_named(capsys):
+    nines = "9" * 5000
+    for graph, spec, message in [(f"K{nines}", "3,3", "graph source K<n>: 5000 digits"),
+                                 ("K5", f"3,{nines}", "spec: a size has too many digits")]:
+        code, out, err = run(capsys, "arrows", "edges", "--graph", graph, "--spec", spec)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and message in err
+        assert "Exceeds the limit" not in err
 
 
 def test_internal_error_exits_4(capsys, monkeypatch):

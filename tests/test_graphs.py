@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from folkman.bounds import build_q
 from folkman.graphs import (Graph, GraphError, Graph6Error, complete, cycle,
-                            circulant, complement, join, induced, edges,
+                            circulant, complement, join, edges,
                             has_clique, max_clique, clique_number,
                             independence_number, enumerate_cliques,
                             parse_graph6, emit_graph6, automorphism_generators,
@@ -71,10 +71,10 @@ def test_join_basics():
     assert j.n == 13
     assert j.edge_count == 28 + 5 + 40
     # normative vertex order: g1 first
-    assert induced(j, range(8)) == k8
-    assert induced(j, range(8, 13)) == c5
+    assert [row & 0xFF for row in j.adj[:8]] == list(k8.adj)
+    assert [row >> 8 for row in j.adj[8:]] == list(c5.adj)
     # every cross pair adjacent
-    assert all(j.has_edge(u, v) for u in range(8) for v in range(8, 13))
+    assert all(j.adj[u] >> v & 1 for u in range(8) for v in range(8, 13))
 
 
 def test_join_overflow():
@@ -88,21 +88,6 @@ def test_join_clique_additivity_random():
         a = random_graph(rng, rng.randint(1, 8))
         b = random_graph(rng, rng.randint(1, 8))
         assert clique_number(join(a, b)) == clique_number(a) + clique_number(b)
-
-
-def test_induced():
-    c5 = cycle(5)
-    p3 = induced(c5, {0, 1, 2})
-    assert p3.n == 3 and p3.edge_count == 2
-    assert induced(c5, range(5)) == c5
-    with pytest.raises(GraphError):
-        induced(c5, {0, 7})
-
-
-def test_induced_relabeling_order():
-    g = Graph.from_edges(5, [(1, 3), (3, 4)])
-    h = induced(g, {1, 3, 4})
-    assert h.has_edge(0, 1) and h.has_edge(1, 2) and not h.has_edge(0, 2)
 
 
 def test_graph_validation():
@@ -129,7 +114,7 @@ def test_max_clique_witness_valid():
         g = random_graph(rng, rng.randint(2, 12))
         w = max_clique(g)
         assert w == sorted(w)
-        assert all(g.has_edge(u, v) for u, v in combinations(w, 2))
+        assert all(g.adj[u] >> v & 1 for u, v in combinations(w, 2))
         # no larger clique
         assert enumerate_cliques(g, len(w) + 1) == []
 
