@@ -367,58 +367,58 @@ def check_automorphism(g: Graph, perm) -> None:
         raise RuntimeError(f"not an automorphism of the graph: {perm}")
 
 
-def _refine(adj, cells: list[int]) -> tuple[list[int], tuple]:
-    """Split the ordered cells (vertex bitmasks) until the partition is
-    equitable: within a cell every vertex has as many neighbors in each
-    cell.  A cell splits into parts by neighbor count, in ascending count,
-    in its place.  Returns the cells and the trace of splits, which, like
-    the cells, any relabelling of the graph carries along."""
+def _refine(adj, cells: list[int], splitters: list[int]) -> tuple[list[int], tuple]:
+    """Split the ordered cells (vertex bitmasks) by each splitter in turn:
+    a cell splits into parts by its vertices' neighbor counts in the
+    splitter, in ascending count, in its place, and the parts join the end
+    of `splitters` (the caller's list), which grows while it is read.
+    The cells come out equitable (within a cell every vertex has as many
+    neighbors in each cell) when every input cell is a splitter, or when
+    the input is an equitable partition with one cell cut in two and one
+    part a splitter.  Returns the cells and the trace of splits, which,
+    like the cells, any relabelling of the graph carries along."""
     trace = []
-    stable = False
-    while not stable:
-        stable = True
-        s = 0
-        while s < len(cells):
-            splitter = cells[s]
-            out = []
-            for i, cell in enumerate(cells):
-                if not cell & (cell - 1):
-                    out.append(cell)
-                    continue
-                parts: dict[int, int] = {}
-                m = cell
-                while m:
-                    b = m & -m
-                    m ^= b
-                    k = (adj[b.bit_length() - 1] & splitter).bit_count()
-                    parts[k] = parts.get(k, 0) | b
-                if len(parts) == 1:
-                    out.append(cell)
-                    continue
-                counts = sorted(parts)
-                out.extend(parts[k] for k in counts)
-                trace.append((s, i, tuple((k, parts[k].bit_count()) for k in counts)))
-                stable = False
-            cells = out
-            s += 1
+    for splitter in splitters:
+        out = []
+        for i, cell in enumerate(cells):
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            m = cell
+            while m:
+                b = m & -m
+                m ^= b
+                k = (adj[b.bit_length() - 1] & splitter).bit_count()
+                parts[k] = parts.get(k, 0) | b
+            if len(parts) == 1:
+                out.append(cell)
+                continue
+            counts = sorted(parts)
+            split = [parts[k] for k in counts]
+            out += split
+            splitters += split
+            trace.append((i, tuple((k, parts[k].bit_count()) for k in counts)))
+        cells = out
     return cells, tuple(trace)
 
 
 def _individualize(adj, cells: list[int], t: int, v: int) -> tuple[list[int], tuple]:
-    """Split vertex v off, first, from cell t and refine.  Returns the cells
-    and the new node's invariant: the trace and the cell sizes."""
+    """Split vertex v off, first, from cell t of the equitable cells and
+    refine with {v} as the only splitter.  Returns the cells and the new
+    node's invariant: the trace and the cell sizes."""
     split = [1 << v, cells[t] & ~(1 << v)]
-    cells, trace = _refine(adj, cells[:t] + split + cells[t + 1:])
+    cells, trace = _refine(adj, cells[:t] + split + cells[t + 1:], [1 << v])
     return cells, (trace, tuple(c.bit_count() for c in cells))
 
 
-def _target(cells: list[int], twin_of: list[int]) -> int | None:
-    # The first non-singleton cell that is not a set of mutual twins.
+def _target(cells: list[int], twins: list[int]) -> int | None:
+    """The index of the first cell that is not a set of mutual twins (so
+    not a singleton either): twins[v] is v's twin class as a mask, or v
+    alone if v has no twin."""
     for t, cell in enumerate(cells):
-        if cell & (cell - 1):
-            first = twin_of[(cell & -cell).bit_length() - 1]
-            if first < 0 or any(twin_of[v] != first for v in bits_of(cell)):
-                return t
+        if cell & ~twins[(cell & -cell).bit_length() - 1]:
+            return t
     return None
 
 
@@ -474,35 +474,40 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     each vertex w of the level's target cell outside the orbit of the
     path's vertex under the automorphisms known to fix the level's prefix
     (those found so far and the twin swaps) is tried by `_match_below`; a
-    match is one more generator.  The generators found
-    at a level and below generate the stabilizer of the level's prefix, so
-    at level 0 they generate Aut(G).  Each permutation returned passes
-    `check_automorphism`.
+    match is one more generator.  The generators found at a level and
+    below generate the stabilizer of the level's prefix, so at level 0
+    they generate Aut(G).  Nothing here runs `check_automorphism`:
+    `_match_below` tests each match with `_maps_edges`, a twin swap is an
+    automorphism by definition, and `ArrowInstance.symmetries`, where the
+    search takes the generators, checks every one before it is used.
     """
     n, adj = g.n, g.adj
-    classes = _twin_classes(g)
-    twin_of = [-1] * n
-    for i, cls in enumerate(classes):
+    # Union-find: orbits of the known automorphisms.  A twin swap may move
+    # a level's prefix, but a prefix vertex is never a candidate, and the
+    # swaps that avoid it already join the rest of its twin class.
+    parent = list(range(n))
+    twins = [1 << v for v in range(n)]
+    swaps = []
+    for cls in _twin_classes(g):
+        mask = mask_of(cls)
         for v in cls:
-            twin_of[v] = i
-    cells, _ = _refine(adj, [(1 << n) - 1])
+            twins[v] = mask
+        for a, b in zip(cls, cls[1:]):
+            _union(parent, a, b)
+            perm = list(range(n))
+            perm[a], perm[b] = b, a
+            swaps.append(tuple(perm))
+    cells, _ = _refine(adj, [(1 << n) - 1], [(1 << n) - 1])
     path = []        # per level: (cells, target cell index, vertex split off)
     invariants = []  # invariants[d]: of the path's node below level d
-    t = _target(cells, twin_of)
+    t = _target(cells, twins)
     while t is not None:
         v = (cells[t] & -cells[t]).bit_length() - 1
         path.append((cells, t, v))
         cells, invariant = _individualize(adj, cells, t, v)
         invariants.append(invariant)
-        t = _target(cells, twin_of)
+        t = _target(cells, twins)
     bottom = cells
-    # Union-find: orbits of the known automorphisms.  A twin swap may move
-    # a level's prefix, but a prefix vertex is never a candidate, and the
-    # swaps that avoid it already join the rest of its twin class.
-    parent = list(range(n))
-    for cls in classes:
-        for a, b in zip(cls, cls[1:]):
-            _union(parent, a, b)
     found = []
     for d in range(len(path) - 1, -1, -1):
         cells, t, v = path[d]
@@ -518,11 +523,4 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
             found.append(perm)
             for x in range(n):
                 _union(parent, x, perm[x])
-    for cls in classes:
-        for a, b in zip(cls, cls[1:]):
-            perm = list(range(n))
-            perm[a], perm[b] = b, a
-            found.append(tuple(perm))
-    for perm in found:
-        check_automorphism(g, perm)
-    return found
+    return found + swaps

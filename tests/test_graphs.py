@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -5,13 +6,13 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folkman.bounds import build_q
+from folkman.bounds import build_lin_graph, build_q, build_theorem_graph
 from folkman.graphs import (Graph, GraphError, Graph6Error, complete, cycle,
                             circulant, complement, join, edges,
                             has_clique, max_clique, clique_number,
                             independence_number, enumerate_cliques,
                             parse_graph6, emit_graph6, automorphism_generators,
-                            check_automorphism)
+                            check_automorphism, _individualize, _refine)
 from oracles import (brute_automorphisms, brute_cliques, brute_clique_number,
                      disjoint_union, generated_group, random_graph, relabelled)
 
@@ -248,20 +249,101 @@ def test_automorphism_generators_vs_brute_force():
         assert generated_group(g.n, gens) == brute_automorphisms(g), edges(g)
 
 
+def hypercube(d: int) -> Graph:
+    return Graph.from_edges(1 << d, [(u, u | 1 << i) for u in range(1 << d)
+                                     for i in range(d) if not u >> i & 1])
+
+
+def rook(k: int) -> Graph:
+    # Cells of a k x k board, adjacent when they share a row or a column.
+    return Graph.from_edges(k * k, [(a, b) for a, b in combinations(range(k * k), 2)
+                                    if a // k == b // k or a % k == b % k])
+
+
+def petersen() -> Graph:
+    # The 2-subsets of {0..4}, adjacent when disjoint.
+    pairs = list(combinations(range(5), 2))
+    return Graph.from_edges(10, [(i, j) for i, j in combinations(range(10), 2)
+                                 if not set(pairs[i]) & set(pairs[j])])
+
+
 @pytest.mark.parametrize("name,order", [("Q", 52), ("K2+Q", 104),
-                                        ("K3+C5+C5", 1200), ("C5+C5+C5", 6000)])
+                                        ("K3+C5+C5", 1200), ("C5+C5+C5", 6000),
+                                        ("Petersen", 120), ("4-cube", 384),
+                                        ("rook 4x4", 1152), ("Paley(13)", 78),
+                                        ("C12", 24)])
 def test_automorphism_group_orders(name, order):
     # Aut(Q) is the 13 rotations times the 4 multipliers {1, 5, 8, 12} of
     # the circulant.  A join's group is its parts' groups together with the
     # swaps of isomorphic parts (K_n is n joined K1s): K2+Q 2! * 52,
     # K3+C5+C5 3! * 10^2 * 2!, C5+C5+C5 10^3 * 3!, under any labelling.
+    # A vertex-transitive graph's root partition is one cell, so each
+    # individualization's refinement cascades from its one splitter:
+    # Petersen S5, the 4-cube 2^4 * 4!, the rook graph 2 * 4!^2, Paley(13)
+    # 13 * 6 (translations and multiplication by the squares), C12 the
+    # dihedral group of order 24.
     q, c5 = build_q(), cycle(5)
     g = {"Q": q, "K2+Q": join(complete(2), q),
          "K3+C5+C5": join(complete(3), join(c5, c5)),
-         "C5+C5+C5": join(c5, join(c5, c5))}[name]
+         "C5+C5+C5": join(c5, join(c5, c5)),
+         "Petersen": petersen(), "4-cube": hypercube(4), "rook 4x4": rook(4),
+         "Paley(13)": circulant(13, {1, 3, 4}), "C12": cycle(12)}[name]
     rng = random.Random(59)
     for h in (g, relabelled(g, rng), relabelled(g, rng)):
         assert len(generated_group(h.n, automorphism_generators(h))) == order
+
+
+def is_equitable(g: Graph, cells: list[int]) -> bool:
+    """Do the cells partition the vertices so that, within each cell, every
+    vertex has as many neighbors in each cell?"""
+    members = [[v for v in range(g.n) if cell >> v & 1] for cell in cells]
+    if sorted(v for vs in members for v in vs) != list(range(g.n)):
+        return False
+    return all(len({sum(g.adj[v] >> u & 1 for u in other) for v in vs}) == 1
+               for vs in members for other in members)
+
+
+def test_individualize_refines_from_one_splitter():
+    # `_individualize` refines with {v} as the only splitter, because the
+    # partition it starts from is equitable.  For every vertex of every
+    # non-singleton cell of the root partition, its result must be
+    # equitable and, as a set of cells, the partition that refining with
+    # every cell as a splitter gives.
+    rng = random.Random(61)
+    q, c5 = complement(circulant(13, {1, 5})), cycle(5)  # Q, without its gate's search
+    graphs = [random_graph(rng, rng.randint(1, 12), p=rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(300)]
+    graphs += [q, join(complete(8), q), join(c5, join(c5, c5)),
+               join(complete(3), join(c5, c5))]
+    checked = 0
+    for g in graphs:
+        full = (1 << g.n) - 1
+        root, _ = _refine(g.adj, [full], [full])
+        assert is_equitable(g, root)
+        for t, cell in enumerate(root):
+            for v in (v for v in range(g.n) if cell & (cell - 1) and cell >> v & 1):
+                cells, _ = _individualize(g.adj, root, t, v)
+                assert is_equitable(g, cells), (edges(g), v)
+                cut = root[:t] + [1 << v, cell & ~(1 << v)] + root[t + 1:]
+                assert set(cells) == set(_refine(g.adj, cut, list(cut))[0])
+                checked += 1
+    assert checked == 890  # individualizations checked
+
+
+# sha256 of the repr of the benchmark graphs' `automorphism_generators`
+# lists, the graphs as the package builds them.  The exhaust and witness
+# node counts depend on the exact generators, not only on the group they
+# generate.  Re-pin only with the reason given in CHANGES.md.
+GENERATORS_SHA256 = "91d188e6c619ec1609b53ca9cd5e1ce38e896caf63596d2748a300edccbaa88f"
+
+
+def test_benchmark_graph_generators_are_pinned():
+    q, c5 = build_q(), cycle(5)
+    benchmark_graphs = [complete(9), join(c5, join(c5, c5)), join(complete(2), q),
+                        join(complete(3), q), join(complete(3), join(c5, c5)),
+                        build_theorem_graph(), build_lin_graph()]
+    gens = repr([automorphism_generators(g) for g in benchmark_graphs])
+    assert hashlib.sha256(gens.encode()).hexdigest() == GENERATORS_SHA256
 
 
 def test_automorphism_generators_twin_classes():

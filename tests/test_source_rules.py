@@ -93,6 +93,34 @@ def test_free_coloring_check_reads_no_search_data():
     assert read == [], f"ArrowInstance.violation reads search-only data: {read}"
 
 
+def callers(tree, name: str) -> list[str]:
+    """The function holding each call to `name` in `tree`, as a dotted
+    path of its enclosing classes and functions."""
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            scope, up = [], node
+            while up in parents:
+                up = parents[up]
+                if isinstance(up, (ast.ClassDef, ast.FunctionDef)):
+                    scope.insert(0, up.name)
+            out.append(".".join(scope))
+    return out
+
+
+def test_every_automorphism_is_checked_where_the_search_takes_it():
+    # `automorphism_generators` does not check its own permutations; the
+    # one place that takes them checks each before the search uses it.
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    taken = [(module, scope) for module, tree in trees.items()
+             for scope in callers(tree, "automorphism_generators")]
+    assert taken == [("arrowing.py", "ArrowInstance.symmetries")]
+    assert "ArrowInstance.symmetries" in callers(trees["arrowing.py"], "check_automorphism")
+
+
 def test_oracles_import_only_graph_from_package():
     # The oracles check the package, so they share no code with it beyond
     # the Graph they are handed.
