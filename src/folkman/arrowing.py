@@ -32,6 +32,23 @@ class ColoringError(ValueError):
     """Partial or out-of-range coloring."""
 
 
+def decimal(text: str, what: str = "number") -> int:
+    """`text` as an int: ASCII digits with optional spaces around them, and
+    no more digits than `int()` converts.  `int()` alone would also take
+    `+3`, `1_0` and non-ASCII digits.  The one place where the package turns
+    text into an int (a source rule checks this): spec sizes, graph
+    sources, the integer flags and DIMACS tokens all come here.  `what`
+    names the input in the error, which gives an over-long number's digit
+    count, not its text."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what}: {text!r} is not a decimal integer")
+    try:
+        return int(digits)
+    except ValueError:  # over int()'s digit limit
+        raise ValueError(f"{what}: {len(digits)} digits, too many for int()") from None
+
+
 class ArrowSpec:
     """Clique sizes (a_1,...,a_r) to avoid, one per color; colors are 1-based.
     Two specs are equal, and hash alike, when their sizes are."""
@@ -51,19 +68,9 @@ class ArrowSpec:
 
     @staticmethod
     def parse(text: str) -> "ArrowSpec":
-        """The spec `text` spells: comma-separated sizes, each ASCII digits
-        with optional spaces around them.  `int()` alone would also take
-        `+3`, `1_0` and non-ASCII digits; anything but digits is refused,
-        and so is a size with more digits than `int()` converts."""
-        tokens = [t.strip() for t in text.split(",")]
-        if not all(t.isascii() and t.isdigit() for t in tokens):
-            raise ValueError(f"spec {text!r}: sizes must be comma-separated "
-                             "decimal integers")
-        try:
-            sizes = tuple(map(int, tokens))
-        except ValueError:  # over int()'s digit limit
-            raise ValueError("spec: a size has too many digits for int()") from None
-        return ArrowSpec(sizes)
+        """The spec `text` spells: comma-separated sizes, each read by
+        `decimal`."""
+        return ArrowSpec(tuple(decimal(t, "spec size") for t in text.split(",")))
 
     def __str__(self):
         return ",".join(map(str, self.sizes))
@@ -217,7 +224,8 @@ class ArrowInstance:
     id is an index into it.  `cliques[i]` holds every forbidden clique of
     color i+1 once, as the ascending tuple of its item ids, in the
     lexicographic order of the cliques' vertex tuples; that order fixes the
-    CNF clause order and which violation is reported first.  A clique's
+    CNF clause order and which violation is reported first.  Colors with
+    equal clique sizes share one list, built once.  A clique's
     vertices are not kept: `violation` works them out from `items` for the
     one clique it reports.  `coloring` is the class of its colorings.  The
     search-only data `by_edge` (which holds the cliques' item bitmasks),
@@ -232,7 +240,8 @@ class ArrowInstance:
         self.g = g
         self.spec = spec
         self.items = self._items()
-        self.cliques = tuple(self._ids(enumerate_cliques(g, a)) for a in spec.sizes)
+        lists = {a: self._ids(enumerate_cliques(g, a)) for a in set(spec.sizes)}
+        self.cliques = tuple(lists[a] for a in spec.sizes)
 
     def _items(self):
         return edges(self.g)
@@ -264,16 +273,21 @@ class ArrowInstance:
         containing item e, in clique order; a clique's one int is shared by
         all of its items.  Coloring e with color i+1 completes the clique
         iff all of its other items already have that color; the search's
-        propagation looks here for cliques left one uncolored item short."""
-        out = []
-        for constraints in self.cliques:
+        propagation looks here for cliques left one uncolored item short.
+        Colors with equal clique sizes share one list, as they share
+        `cliques`; these lists are static, so per-color search state (such
+        as watched items) must not live in them."""
+        shared: dict[int, list[list[int]]] = {}
+        for a, constraints in zip(self.spec.sizes, self.cliques):
+            if a in shared:
+                continue
             per_item: list[list[int]] = [[] for _ in self.items]
             for ids in constraints:
                 mask = mask_of(ids)
                 for e in ids:
                     per_item[e].append(mask)
-            out.append(per_item)
-        return tuple(out)
+            shared[a] = per_item
+        return tuple(shared[a] for a in self.spec.sizes)
 
     @cached_property
     def order(self) -> list[int]:
@@ -391,27 +405,17 @@ class VertexInstance(ArrowInstance):
 
 # --- free-coloring verification ---------------------------------------------
 
-def _free_check(inst_class, g: Graph, spec: ArrowSpec, c):
+def is_free_edge_coloring(g: Graph, spec: ArrowSpec, c: EdgeColoring):
+    """(True, None) if no color class contains all edges of a forbidden
+    clique, else (False, (color, clique)) for the first such clique in
+    color, then lexicographic, order."""
     if c.host is not g and c.host != g:
         raise ColoringError("coloring belongs to a different graph")
     for color in c.colors:
         if not 1 <= color <= spec.r:
             raise ColoringError(f"color {color} outside 1..{spec.r}")
-    violation = inst_class(g, spec).violation(c.colors)
+    violation = ArrowInstance(g, spec).violation(c.colors)
     return violation is None, violation
-
-
-def is_free_vertex_coloring(g: Graph, spec: ArrowSpec, c: VertexColoring):
-    """(True, None) if no color class induces a forbidden clique, else
-    (False, (color, clique)) for the first such clique in color, then
-    lexicographic, order."""
-    return _free_check(VertexInstance, g, spec, c)
-
-
-def is_free_edge_coloring(g: Graph, spec: ArrowSpec, c: EdgeColoring):
-    """(True, None) if no color class contains all edges of a forbidden
-    clique, else (False, (color, clique))."""
-    return _free_check(ArrowInstance, g, spec, c)
 
 
 # --- Ramsey registry and derived pruning bounds ------------------------------
@@ -569,8 +573,10 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
             frame[1] = c
             nodes += 1
             if progress_every and nodes % progress_every == 0:
-                print(f"progress nodes={nodes} depth={depth} "
-                      f"prunings={stats.prunings}", file=sys.stderr)
+                print(f"progress nodes={nodes} depth={depth}",
+                      *(f"prunings.{cause}={count}"
+                        for cause, count in sorted(stats.prunings.items())),
+                      file=sys.stderr)
             assigned |= 1 << eid
             color_mask[c] |= 1 << eid
             col[eid] = c

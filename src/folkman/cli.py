@@ -22,13 +22,12 @@ Every process pays for the modules it imports, so `cnf`, `bounds` and
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from pathlib import Path
 
 from . import graphs
 from .arrowing import (ArrowSpec, SearchBudget, SearchOutcome, Verdict,
-                       arrows_edges, arrows_vertices)
+                       arrows_edges, arrows_vertices, decimal)
 from .graphs import Graph, complete, cycle, circulant, emit_graph6, join, max_clique
 
 EXIT_ARROWS = 0
@@ -53,28 +52,15 @@ class CliError(Exception):
     pass
 
 
-def _decimal(text: str, what: str) -> int:
-    """`text` as a number, by the rule `ArrowSpec.parse` applies to sizes:
-    ASCII digits with optional spaces around them (`int()` alone would also
-    take `+3`, `1_0` and non-ASCII digits), and no more digits than `int()`
-    converts.  `what` names the input in the error."""
-    digits = text.strip()
-    if not (digits.isascii() and digits.isdigit()):
-        raise CliError(f"{what}: {text!r} is not a decimal integer")
-    try:
-        return int(digits)
-    except ValueError:  # over int()'s digit limit
-        raise CliError(f"{what}: {len(digits)} digits, too many for int()") from None
-
-
 def resolve_graph(source: str) -> Graph:
-    """`K<n>`, `C<n>` (n in ASCII digits), `@path` to a graph6 file, a
+    """`K<n>`, `C<n>` (n read by `decimal`; the source is one of these
+    when an ASCII digit follows the letter), `@path` to a graph6 file, a
     literal graph6 string, or a name in `bounds.BUILTIN_GRAPHS` (`q`,
     `theorem-graph`, `lin-graph`; none of them is graph6)."""
-    m = re.fullmatch(r"([KC])([0-9]+)", source)
-    if m:
-        n = _decimal(m[2], f"graph source {m[1]}<n>")
-        return complete(n) if m[1] == "K" else cycle(n)
+    kind, first = source[:1], source[1:2]
+    if kind in ("K", "C") and first.isascii() and first.isdigit():
+        n = decimal(source[1:], f"graph source {kind}<n>")
+        return complete(n) if kind == "K" else cycle(n)
     if source.startswith("@"):
         text = Path(source[1:]).read_text()
         try:
@@ -115,8 +101,8 @@ def cmd_construct(args) -> int:
     if name == "circulant":
         if len(params) != 2:
             raise CliError("usage: construct circulant <n> <d1,d2,...>")
-        g = circulant(_decimal(params[0], "circulant n"),
-                      [_decimal(d, "circulant offset") for d in params[1].split(",")])
+        g = circulant(decimal(params[0], "circulant n"),
+                      [decimal(d, "circulant offset") for d in params[1].split(",")])
     elif name == "join":
         if len(params) != 2:
             raise CliError("usage: construct join <graph> <graph>")
@@ -230,7 +216,7 @@ def cmd_catalog(args) -> int:
 
 
 def _add_budget_flags(p):
-    p.add_argument("--max-nodes", type=int, default=None,
+    p.add_argument("--max-nodes", type=decimal, default=None,
                    help="node budget")
     p.add_argument("--max-seconds", type=float, default=None,
                    help="wall-time budget")
@@ -238,7 +224,7 @@ def _add_budget_flags(p):
 
 def _add_search_flags(p):
     _add_budget_flags(p)
-    p.add_argument("--progress", type=int, default=0, metavar="N",
+    p.add_argument("--progress", type=decimal, default=0, metavar="N",
                    help="print progress to stderr every N nodes")
     p.add_argument("--witness", help="path for the free-coloring witness JSON")
 
@@ -276,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="emit a Folkman bound certificate")
     p.add_argument("--graph", required=True)
     p.add_argument("--spec", required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=decimal, required=True)
     p.add_argument("--evidence",
                    help="solver UNSAT record (JSON) with the encoded CNF's "
                         "dimacs_sha256; without it, certify runs the edge search")

@@ -8,10 +8,8 @@ only writes DIMACS, reads models back, and re-verifies them.
 """
 from __future__ import annotations
 
-import re
-
 from .graphs import Graph
-from .arrowing import ArrowInstance, ArrowSpec, EdgeColoring
+from .arrowing import ArrowInstance, ArrowSpec, EdgeColoring, decimal
 
 
 class CnfError(ValueError):
@@ -79,21 +77,15 @@ def emit_dimacs(f: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-# A DIMACS integer: ASCII digits with an optional minus sign.  `int()` alone
-# would also take `+1`, `1_0` and non-ASCII digits.
-_INTEGER = re.compile(r"-?[0-9]+")
-
-
 def _ints(tokens, number: int, line: str) -> list[int]:
     """The integers `tokens` spell; the tokenizer of `parse_dimacs` and
-    `parse_model`.  A token that is not `_INTEGER` is refused, naming line
+    `parse_model`.  A token is an optional `-` and then what `decimal`
+    reads (tokens hold no spaces); any other is refused, naming line
     `number` and its text."""
-    if all(map(_INTEGER.fullmatch, tokens)):
-        try:
-            return list(map(int, tokens))
-        except ValueError:  # more digits than int() converts
-            pass
-    raise CnfError(f"line {number}: non-integer token in {line!r}")
+    try:
+        return [-decimal(t[1:]) if t[:1] == "-" else decimal(t) for t in tokens]
+    except ValueError:
+        raise CnfError(f"line {number}: non-integer token in {line!r}") from None
 
 
 def parse_dimacs(text: str) -> CnfFormula:

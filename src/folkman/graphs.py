@@ -181,7 +181,11 @@ def max_clique(g: Graph) -> list[int]:
     """One maximum clique, as an ascending vertex list.
 
     Branch and bound with a greedy-coloring bound; exact, and deterministic
-    (ties broken by smallest vertex index) so witnesses are reproducible.
+    so witnesses are reproducible.  Of several maximum cliques it returns
+    the first the search meets, and the search branches on the candidates
+    in reverse order of a greedy coloring that takes the lowest index
+    first, so a tie need not go to the smallest indices: C5 gives [3, 4]
+    and 2K2 gives [2, 3].
     """
     adj = g.adj
     best: list[int] = []

@@ -9,9 +9,9 @@ import pytest
 from folkman import arrowing
 from folkman.arrowing import (ArrowInstance, ArrowSpec, ColoringError,
                               EdgeColoring, SearchBudget, Verdict,
-                              VertexColoring, VertexInstance, _search,
+                              VertexInstance, _search,
                               arrows_edges, arrows_vertices,
-                              is_free_edge_coloring, is_free_vertex_coloring,
+                              decimal, is_free_edge_coloring,
                               ramsey_known, neighborhood_clique_bounds)
 from folkman.graphs import Graph, circulant, complete, cycle, edges, join
 from folkman.bounds import bound_certificate, build_q, build_theorem_graph
@@ -47,14 +47,29 @@ def test_arrow_spec_validation():
     assert ArrowSpec.parse("03,4").sizes == (3, 4)
     # Each size is ASCII digits: int() alone would read `1_0` as 10,
     # fullwidth digits as ASCII ones and `+3` as 3.
-    for text in ("1_0,3", "\uff13,\uff15", "+3,4", "-3,4", "3,x", "3,4,", "3,,4", "",
-                 "3.0,4", "\u00b3,4"):
+    for text, size in [("1_0,3", "1_0"), ("\uff13,\uff15", "\uff13"), ("+3,4", "+3"),
+                       ("-3,4", "-3"), ("3,x", "x"), ("3,4,", ""), ("3,,4", ""),
+                       ("", ""), ("3.0,4", "3.0"), ("\u00b3,4", "\u00b3")]:
         with pytest.raises(ValueError, match=re.escape(
-                f"spec {text!r}: sizes must be comma-separated decimal integers")):
+                f"spec size: {size!r} is not a decimal integer")):
             ArrowSpec.parse(text)
     # More digits than int() converts is named, not int()'s own message.
-    with pytest.raises(ValueError, match="^spec: a size has too many digits for int"):
+    with pytest.raises(ValueError, match="^spec size: 5000 digits, too many for int"):
         ArrowSpec.parse("3," + "9" * 5000)
+
+
+def test_decimal_reads_ascii_digits_only():
+    # The package's one rule for text that is a number.
+    for text, value in [("13", 13), (" 100", 100), ("7 ", 7), ("007", 7), ("0", 0)]:
+        assert decimal(text) == value
+    for text in ("\u0661\u0663", "1_3", "\uff15", "+7", " +7", "-1", "", " ", "1 3",
+                 "1e3", "0x1f", "\u00b3"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"flag: {text!r} is not a decimal integer")):
+            decimal(text, "flag")
+    with pytest.raises(ValueError) as info:
+        decimal("9" * 5000, "flag")
+    assert str(info.value) == "flag: 5000 digits, too many for int()"
 
 
 def test_is_free_edge_coloring_pentagon():
@@ -96,20 +111,15 @@ def test_is_free_edge_coloring_partial_rejected():
         is_free_edge_coloring(k3, ArrowSpec((3, 3)), EdgeColoring(k3, (1, 1, 5)))
 
 
-def test_is_free_vertex_coloring():
-    k4 = complete(4)
-    ok, _ = is_free_vertex_coloring(k4, ArrowSpec((3, 3)),
-                                    VertexColoring(k4, (1, 1, 2, 2)))
-    assert ok
-    k5 = complete(5)
+def test_vertex_violation():
+    assert VertexInstance(complete(4), ArrowSpec((3, 3))).violation((1, 1, 2, 2)) is None
+    k5 = VertexInstance(complete(5), ArrowSpec((3, 3)))
     # The first violation in color order, then lexicographic clique order.
     for colors, first in [((1, 1, 1, 2, 2), (1, (0, 1, 2))),
                           ((1, 2, 1, 2, 1), (1, (0, 2, 4))),
                           ((2, 2, 2, 2, 2), (2, (0, 1, 2))),
                           ((2, 1, 1, 1, 1), (1, (1, 2, 3)))]:
-        ok, violation = is_free_vertex_coloring(k5, ArrowSpec((3, 3)),
-                                                VertexColoring(k5, colors))
-        assert not ok and violation == first
+        assert k5.violation(colors) == first
 
 
 def test_free_checks_report_the_first_violation():
@@ -133,8 +143,8 @@ def test_free_checks_report_the_first_violation():
                              if all(vcolors[v] == c for v in q)), None)
         assert is_free_edge_coloring(g, spec, EdgeColoring(g, ecolors)) == (
             first_edge is None, first_edge), (g.adj, sizes, ecolors)
-        assert is_free_vertex_coloring(g, spec, VertexColoring(g, vcolors)) == (
-            first_vertex is None, first_vertex), (g.adj, sizes, vcolors)
+        assert VertexInstance(g, spec).violation(vcolors) == first_vertex, (
+            g.adj, sizes, vcolors)
         if spec.r == 2:
             model = [e if c == 1 else -e for e, c in enumerate(ecolors, start=1)]
             if first_edge is None:
@@ -166,9 +176,8 @@ def test_arrows_vertices_pigeonhole():
                 expected = Verdict.ARROWS if n >= a + b - 1 else Verdict.FREE_COLORING
                 assert out.verdict is expected, (n, a, b)
                 if out.verdict is Verdict.FREE_COLORING:
-                    ok, _ = is_free_vertex_coloring(complete(n), ArrowSpec((a, b)),
-                                                    out.witness)
-                    assert ok
+                    assert VertexInstance(complete(n), ArrowSpec((a, b))).violation(
+                        out.witness.colors) is None
 
 
 def test_arrows_vertices_vs_bruteforce():
@@ -657,8 +666,7 @@ def test_only_the_search_finds_automorphisms(monkeypatch):
              for e, c in enumerate(pentagon_pentagram(k5).colors)]
     coloring = decode_model(k5, spec, model)
     assert is_free_edge_coloring(k5, spec, coloring) == (True, None)
-    ok, _ = is_free_vertex_coloring(k5, spec, VertexColoring(k5, (1, 1, 2, 2, 2)))
-    assert not ok
+    assert VertexInstance(k5, spec).violation((1, 1, 2, 2, 2)) is not None
     with pytest.raises(AssertionError, match="outside the search"):
         arrows_edges(k5, spec)
 
@@ -690,7 +698,9 @@ def test_only_the_search_builds_clique_masks(monkeypatch):
     assert decode_model(k5, spec, model).colors == pentagon.colors
     assert calls == []
     arrows_edges(k5, spec)
-    assert len(calls) == 20  # once per triangle of K5, per color
+    # Once per triangle of K5: the two colors' sizes are equal, so they
+    # share one clique list and its masks.
+    assert len(calls) == 10
 
 
 def test_clique_item_ids_name_its_edges():

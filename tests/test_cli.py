@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -45,6 +46,20 @@ def test_construct_k8_and_circulant_and_join(capsys):
     assert code == 0 and out_map(out)["edges"] == "26"
     code, out, _ = run(capsys, "construct", "join", "K8", "q")
     assert code == 0 and out_map(out)["n"] == "21"
+
+
+def test_construct_witnesses_are_pinned(capsys):
+    # `max_clique` fixes which maximum clique and independent set
+    # `construct` prints; a rewrite of it must keep them.
+    for name, clique, indep in [("q", [6, 8, 10, 12], [11, 12]),
+                                ("C5", [3, 4], [2, 4]),
+                                ("theorem-graph",
+                                 [0, 1, 2, 3, 4, 5, 6, 7, 14, 16, 18, 20], [19, 20])]:
+        code, out, _ = run(capsys, "construct", name)
+        kv = out_map(out)
+        assert code == 0
+        assert json.loads(kv["clique_witness"]) == clique, name
+        assert json.loads(kv["independent_set_witness"]) == indep, name
 
 
 def test_builtin_names_are_not_graph6():
@@ -117,7 +132,7 @@ def test_usage_error_exit_3(capsys):
             (k6, "the following arguments are required: --spec"),
             (k6 + ["--spec", "3,3", "--bogus"], "unrecognized arguments: --bogus"),
             (k6 + ["--spec", "3,3", "--max-nodes", "abc"],
-             "argument --max-nodes: invalid int value"),
+             "argument --max-nodes: invalid decimal value"),
             (["nonsense"], "invalid choice")]:
         code, out, err = run(capsys, *argv)
         assert code == 3
@@ -130,8 +145,7 @@ def test_usage_error_exit_3(capsys):
 def test_spec_must_be_decimal_integers(capsys):
     code, out, err = run(capsys, "arrows", "edges", "--graph", "K5", "--spec", "1_0,3")
     assert (code, out) == (3, "")
-    assert err == ("error: spec '1_0,3': sizes must be comma-separated decimal "
-                   "integers\n")
+    assert err == "error: spec size: '1_0' is not a decimal integer\n"
 
 
 def test_encode_k3(capsys):
@@ -318,6 +332,20 @@ def test_progress_flag(capsys):
     assert out_map(out)["nodes"] == "13"  # 19 before the symmetry cut
     assert any(line.startswith("progress nodes=5 ") for line in err.splitlines())
     assert "progress" not in out
+    # Each progress line is `progress` and then `key=int` tokens: nodes,
+    # depth, and the prunings as `prunings.<cause>=<n>` sorted by cause, as
+    # on stdout.
+    code, _, err = run(capsys, "arrows", "edges", "--graph", "K9", "--spec", "3,4",
+                       "--progress", "10")
+    assert code == 0
+    lines = [line for line in err.splitlines() if line.startswith("progress")]
+    assert len(lines) == 9  # 98 nodes
+    for line in lines:
+        keys = [t.split("=")[0] for t in line.split()[1:]]
+        assert all(re.fullmatch(r"[a-z.]+=[0-9]+", t) for t in line.split()[1:]), line
+        assert keys[:2] == ["nodes", "depth"] and keys[2:] == sorted(keys[2:])
+        assert all(k.startswith("prunings.") for k in keys[2:])
+    assert len(lines[-1].split()) == 6  # three causes by then
 
 
 def test_progress_refuses_negative_interval(capsys):
@@ -327,7 +355,9 @@ def test_progress_refuses_negative_interval(capsys):
                              "--spec", "3,3", "--progress", "-1")
         assert code == 3
         assert out == ""
-        assert err.startswith("error: ") and "progress nodes" not in err
+        assert err.startswith("usage: folkman") and "progress nodes" not in err
+        assert err.rstrip().splitlines()[-1] == (
+            "error: argument --progress: invalid decimal value: '-1'")
 
 
 def test_certify_refuses_vertex_search_record(capsys, tmp_path):
@@ -401,10 +431,32 @@ def test_construct_bad_parameters_exit_3(capsys):
     assert code == 0 and out_map(out)["label"] == "C13(1,5)"
 
 
+def test_integer_flags_take_ascii_digits_only(capsys):
+    # The flags read their numbers by the rule specs and graph sources use:
+    # int() alone would run `1_3` and Arabic-Indic digits as 13 and read a
+    # fullwidth 7 or ` +7` as 7.
+    k6 = ["arrows", "edges", "--graph", "K6", "--spec", "3,3"]
+    certify = ["certify", "--graph", "K6", "--spec", "3,3", "--q"]
+    for argv, flag in [(k6 + ["--max-nodes", "\u0661\u0663"], "--max-nodes"),
+                       (k6 + ["--max-nodes", "1_3"], "--max-nodes"),
+                       (k6 + ["--progress", "\uff15"], "--progress"),
+                       (certify + ["\uff17"], "--q"),
+                       (certify + [" +7"], "--q")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.rstrip().splitlines()[-1].startswith(
+            f"error: argument {flag}: invalid decimal value"), argv
+    code, out, _ = run(capsys, *certify, "13")
+    assert (code, out) == (0, "bound F_e(3,3;13) <= 6\n")
+    code, out, _ = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", " 3 , 3 ",
+                       "--max-nodes", " 100", "--progress", "50 ")
+    assert code == 0 and out_map(out)["nodes"] == "13"
+
+
 def test_over_long_numbers_are_named(capsys):
     nines = "9" * 5000
     for graph, spec, message in [(f"K{nines}", "3,3", "graph source K<n>: 5000 digits"),
-                                 ("K5", f"3,{nines}", "spec: a size has too many digits")]:
+                                 ("K5", f"3,{nines}", "spec size: 5000 digits")]:
         code, out, err = run(capsys, "arrows", "edges", "--graph", graph, "--spec", spec)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and message in err

@@ -194,6 +194,17 @@ def test_parse_model():
             parse_model(text)
 
 
+def test_signed_tokens():
+    # A token is an optional minus sign and ASCII digits, and nothing else.
+    assert parse_dimacs("p cnf 2 2\n-1 2 0\n-2 -0\n").clauses == [[-1, 2], [-2]]
+    assert parse_model("v -1 2 -0\n") == [-1, 2]
+    for token in ("-", "--1", "-+1", "+-1", "-\uff11", "-1_0", "1-"):
+        with pytest.raises(CnfError, match="non-integer token"):
+            parse_dimacs(f"p cnf 2 1\n{token} 0\n")
+        with pytest.raises(CnfError, match="non-integer token"):
+            parse_model(f"v {token} 0\n")
+
+
 def test_formula_validation():
     with pytest.raises(CnfError):
         CnfFormula(2, [[1], []]).validate()

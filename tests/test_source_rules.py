@@ -93,15 +93,14 @@ def test_free_coloring_check_reads_no_search_data():
     assert read == [], f"ArrowInstance.violation reads search-only data: {read}"
 
 
-def callers(tree, name: str) -> list[str]:
-    """The function holding each call to `name` in `tree`, as a dotted
-    path of its enclosing classes and functions."""
+def call_scopes(tree, match) -> list[str]:
+    """The function holding each call in `tree` that `match` accepts, as a
+    dotted path of its enclosing classes and functions."""
     parents = {child: node for node in ast.walk(tree)
                for child in ast.iter_child_nodes(node)}
     out = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
-                                                   getattr(node.func, "attr", None)):
+        if isinstance(node, ast.Call) and match(node):
             scope, up = [], node
             while up in parents:
                 up = parents[up]
@@ -109,6 +108,12 @@ def callers(tree, name: str) -> list[str]:
                     scope.insert(0, up.name)
             out.append(".".join(scope))
     return out
+
+
+def callers(tree, name: str) -> list[str]:
+    """The function holding each call to `name` in `tree`."""
+    return call_scopes(tree, lambda call: name in (getattr(call.func, "id", None),
+                                                   getattr(call.func, "attr", None)))
 
 
 def test_every_automorphism_is_checked_where_the_search_takes_it():
@@ -119,6 +124,23 @@ def test_every_automorphism_is_checked_where_the_search_takes_it():
              for scope in callers(tree, "automorphism_generators")]
     assert taken == [("arrowing.py", "ArrowInstance.symmetries")]
     assert "ArrowInstance.symmetries" in callers(trees["arrowing.py"], "check_automorphism")
+
+
+def converts_with_int(call) -> bool:
+    """Does `call` call `int` or hand it on as a converter (`map(int, ...)`,
+    argparse's `type=int`)?  `isinstance(x, int)` is a type test."""
+    if getattr(call.func, "id", None) in ("isinstance", "issubclass"):
+        return False
+    used = [call.func, *call.args, *(k.value for k in call.keywords)]
+    return any(isinstance(u, ast.Name) and u.id == "int" for u in used)
+
+
+def test_text_becomes_an_int_in_one_function():
+    # `int()` also reads `+3`, `1_0` and non-ASCII digits, so text becomes
+    # an int only in `arrowing.decimal`.  `int` in annotations is no call.
+    found = [(path.name, scope) for path in MODULES
+             for scope in call_scopes(ast.parse(path.read_text()), converts_with_int)]
+    assert found == [("arrowing.py", "decimal")], found
 
 
 def test_oracles_import_only_graph_from_package():
