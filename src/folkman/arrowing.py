@@ -12,7 +12,8 @@ colored at once, without a decision.  And it breaks symmetry: a branch is
 cut when an automorphism of G maps its partial coloring to a
 lexicographically smaller one (lex-leader symmetry breaking; Crawford,
 Ginsberg, Luks & Roy, KR 1996), with the automorphisms from
-`graphs.automorphism_generators`.
+`graphs.automorphism_generators`: generators and a transversal of each
+level of the stabilizer chain.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import time
 from functools import cached_property
 from itertools import combinations
 
-from .graphs import (Graph, automorphism_generators, bits_of, check_automorphism,
+from .graphs import (Graph, automorphism_generators, check_automorphism,
                      edges, emit_graph6, enumerate_cliques, has_clique, mask_of,
                      max_clique)
 
@@ -133,7 +134,10 @@ class SearchStats:
     decision tries only the colors in its item's domain
     (`ArrowInstance.domains`, narrowed by propagation).
     `propagations`: items (edges or vertices) colored by propagation.
-    `generators`: automorphisms the symmetry test used.
+    `generators`: automorphisms the symmetry test compared with, the
+    entries of `ArrowInstance.symmetries`: the generators of Aut(G) and a
+    transversal of each level of its stabilizer chain, with inverses, that
+    move some item, each with a distinct action on the items.
     `prunings`: tried colors cut, by cause ("clique", "neighborhood",
     "symmetry").
     `setup_seconds`: building the instance and its search index (forbidden
@@ -314,7 +318,7 @@ class ArrowInstance:
         those domains only.  It is sound with the lex-leader cut only if
         every automorphism in `symmetries` maps each item's domain onto its
         image's, so the colorings searched are closed under them; otherwise
-        `symmetries` must be restricted to generators that fix the pinned
+        `symmetries` must be restricted to automorphisms that fix the pinned
         items."""
         r = self.spec.r
         dom = [(1 << (r + 1)) - 2] * len(self.items)
@@ -334,30 +338,28 @@ class ArrowInstance:
         None, and no neighborhood test in the search, otherwise."""
         return neighborhood_clique_bounds(self.spec) if self.spec.r == 2 else None
 
-    def _item_image(self, perm) -> dict[int, int]:
-        # Item -> image item under the vertex permutation perm, for the
-        # items on the vertices it moves.
-        rows, adj = self._edge_ids, self.g.adj
-        out = {}
-        for u in (u for u, w in enumerate(perm) if u != w):
-            image = rows[perm[u]]
-            for v in bits_of(adj[u]):
-                out[rows[u][v]] = image[perm[v]]
-        return out
+    def _image(self, perm) -> tuple[int, ...]:
+        # The image of each item under the vertex permutation perm.
+        rows = self._edge_ids
+        return tuple([rows[perm[u]][perm[v]] for u, v in self.items])
 
     @cached_property
-    def symmetries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per generator s of `automorphism_generators(g)`, each checked to
-        be an automorphism, the pairs (item e, item s(e)) of the items s
-        moves, listed along `order`.  Generators that move no item, or move
-        them as an earlier one does, are left out."""
-        position = {e: i for i, e in enumerate(self.order)}
+    def symmetries(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per automorphism s of `automorphism_generators(g)`, each checked
+        to be one, the items e that s moves, listed along `order`, as the
+        triples (bitmask of e and s(e), e, s(e)) that the search reads.
+        Automorphisms that move no item, or move them as an earlier one
+        does, are left out."""
+        bit = [1 << e for e in range(len(self.items))]
         out = []
+        seen = set()
         for perm in automorphism_generators(self.g):
             check_automorphism(self.g, perm)
-            pairs = tuple(sorted(((e, f) for e, f in self._item_image(perm).items()
-                                  if e != f), key=lambda pair: position[pair[0]]))
-            if pairs and pairs not in out:
+            image = self._image(perm)
+            pairs = tuple([(bit[e] | bit[image[e]], e, image[e])
+                           for e in self.order if image[e] != e])
+            if pairs and image not in seen:
+                seen.add(image)
                 out.append(pairs)
         return tuple(out)
 
@@ -394,8 +396,8 @@ class VertexInstance(ArrowInstance):
 
     _vertices = _ids  # a vertex clique's item ids are its vertices
 
-    def _item_image(self, perm) -> dict[int, int]:
-        return dict(enumerate(perm))
+    def _image(self, perm) -> tuple[int, ...]:
+        return perm
 
     @cached_property
     def order(self) -> list[int]:
@@ -481,25 +483,26 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     passes the neighborhood test when its cliques are visited.  Propagation
     only cuts subtrees that hold no free coloring.
 
-    After propagation succeeds, each generator s of `inst.symmetries` is
-    compared: with c the partial coloring and s(c) the coloring that reads
+    After propagation succeeds, each automorphism s of `inst.symmetries`
+    is compared: with c the partial coloring and s(c) the coloring that reads
     c(s(e)) at each item e, a node is cut, for cause "symmetry", when at
     the first position along `inst.order` where c and s(c) differ both
     items are colored and s(c) is smaller there: col[s(e)] < col[e].  Every
     completion of c is then larger than its image, so none is the
     lexicographically first free coloring, which is the least in its orbit.
-    A frame keeps, per generator still active on its branch, how many of
-    its pairs are known equal; a generator whose image is found larger is
-    dropped for the subtree.  So the first free coloring found is still the
-    lexicographically first in `inst.order`, and the verdict is that of the
-    full tree.
+    This holds for any set of automorphisms, so `inst.symmetries` may hold
+    more than generators.  A frame keeps, per automorphism still active on
+    its branch, how many of its items are known equal to their images; an
+    automorphism whose image is found larger is dropped for the subtree.
+    So the first free coloring found is still the lexicographically first
+    in `inst.order`, and the verdict is that of the full tree.
 
     A frame per decision holds its depth, the color last tried there (the
     next is the least color above it in the item's domain) and what to
     restore before the next color: the color masks, the colored
     neighborhoods, the assigned-item mask, the length of `trail`, which
     records (item, old domain) for each domain change that leaves a choice
-    (only possible with three or more colors), and the active generators
+    (only possible with three or more colors), and the active automorphisms
     with their positions.  The witness is `col` itself.
 
     `nodes` counts colors tried at decisions; each is either pruned, for
@@ -526,11 +529,10 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
 
     dom = list(inst.domains)
     col = [0] * m  # col[e]: item e's color, read only while e is assigned
-    # Each generator still active on this branch, as its pairs (e, s(e))
-    # along `order`, each with both items' mask, and how many of them are
-    # known to be equal.
-    sym = [([(1 << e | 1 << f, e, f) for e, f in pairs], 0)
-           for pairs in inst.symmetries]
+    # Each automorphism still active on this branch, as its triples (both
+    # items' mask, e, s(e)) along `order`, and how many of them are known
+    # to be equal.
+    sym = [(pairs, 0) for pairs in inst.symmetries]
     assigned = 0
     color_mask = [0] * (r + 1)
     nbr = [0] * ((r + 1) * n)  # nbr[c * n + u]: u's neighbors by color-c edges

@@ -215,16 +215,43 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """argparse `type=` for the integer flags: `decimal`.  Its refusal is
+    raised as an `ArgumentTypeError`, which argparse prints as it is:
+    `invalid decimal value: <the input>`, as argparse itself words it, or,
+    for ASCII digits too many for `int()`, `decimal`'s message, which gives
+    their count, not the digits."""
+    try:
+        return decimal(text)
+    except ValueError as exc:
+        digits = text.strip()  # if all ASCII digits, too many of them
+        too_long = digits.isascii() and digits.isdigit()
+        raise argparse.ArgumentTypeError(
+            str(exc) if too_long else f"invalid decimal value: {text!r}") from None
+
+
+def _seconds(text: str) -> float:
+    """argparse `type=` for `--max-seconds`: ASCII digits with at most one
+    `.`, and optional spaces around them.  `float()` alone would also take
+    `1_0`, non-ASCII digits, `1e3`, `inf` and `nan`."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.replace(".", "", 1).isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"max_seconds must be positive and finite, in ASCII digits with at "
+            f"most one '.', got {text!r}")
+    return float(digits)
+
+
 def _add_budget_flags(p):
-    p.add_argument("--max-nodes", type=decimal, default=None,
+    p.add_argument("--max-nodes", type=_integer, default=None,
                    help="node budget")
-    p.add_argument("--max-seconds", type=float, default=None,
-                   help="wall-time budget")
+    p.add_argument("--max-seconds", type=_seconds, default=None,
+                   help="wall-time budget in seconds")
 
 
 def _add_search_flags(p):
     _add_budget_flags(p)
-    p.add_argument("--progress", type=decimal, default=0, metavar="N",
+    p.add_argument("--progress", type=_integer, default=0, metavar="N",
                    help="print progress to stderr every N nodes")
     p.add_argument("--witness", help="path for the free-coloring witness JSON")
 
@@ -262,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="emit a Folkman bound certificate")
     p.add_argument("--graph", required=True)
     p.add_argument("--spec", required=True)
-    p.add_argument("--q", type=decimal, required=True)
+    p.add_argument("--q", type=_integer, required=True)
     p.add_argument("--evidence",
                    help="solver UNSAT record (JSON) with the encoded CNF's "
                         "dimacs_sha256; without it, certify runs the edge search")

@@ -348,17 +348,19 @@ def _twin_classes(g: Graph) -> list[list[int]]:
 
 
 def _maps_edges(g: Graph, perm) -> bool:
-    # perm is an automorphism iff it carries every adjacency row onto the
-    # row of its image; only the bits of moved vertices change places.
-    moved = [u for u in range(g.n) if perm[u] != u]
-    moved_mask = mask_of(moved)
-    for v, row in enumerate(g.adj):
-        image = row & ~moved_mask
-        for u in moved:
-            if row >> u & 1:
-                image |= 1 << perm[u]
-        if image != g.adj[perm[v]]:
-            return False
+    # A permutation perm is an automorphism iff it carries every edge onto
+    # an edge: it is one-to-one on vertex pairs, and there are as many edges
+    # as images.  So each row's bits above the diagonal are looked up in the
+    # row of its image: O(m), however many vertices perm moves.
+    adj = g.adj
+    for v, row in enumerate(adj):
+        image = adj[perm[v]]
+        row = row >> (v + 1) << (v + 1)
+        while row:
+            b = row & -row
+            if not image >> perm[b.bit_length() - 1] & 1:
+                return False
+            row ^= b
     return True
 
 
@@ -466,24 +468,39 @@ def _match_below(g: Graph, path, invariants, bottom, d: int, w: int):
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex permutations (perm[v] = image of v) that generate Aut(G).
+    """Vertex permutations (perm[v] = image of v): generators of Aut(G),
+    then a transversal of each level of its stabilizer chain, with
+    inverses.  No permutation is listed twice, the identity never, and
+    the list is closed under inverses.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism, II", J. Symb. Comput. 60, 2014), iterative.  The first path
-    individualizes the lowest vertex of the first non-singleton cell of the
-    equitable partition that is not a set of mutual twins, and stops once
-    every non-singleton cell is one: all permutations of such cells are
-    automorphisms, and the adjacent transpositions within each twin class,
-    returned last, generate them.  Then, level by level from the bottom,
-    each vertex w of the level's target cell outside the orbit of the
-    path's vertex under the automorphisms known to fix the level's prefix
+    individualizes v_0, v_1, ...: at each level the lowest vertex of the
+    first non-singleton cell of the equitable partition that is not a set
+    of mutual twins.  It stops once every non-singleton cell is one: all
+    permutations of such cells are automorphisms, and the adjacent
+    transpositions within each twin class generate them.  Then, level by
+    level from the bottom, each vertex w of level d's target cell outside
+    the orbit of v_d under the automorphisms known to fix v_0..v_{d-1}
     (those found so far and the twin swaps) is tried by `_match_below`; a
     match is one more generator.  The generators found at a level and
     below generate the stabilizer of the level's prefix, so at level 0
-    they generate Aut(G).  Nothing here runs `check_automorphism`:
+    they generate Aut(G).  As level d finishes, a breadth-first search
+    from v_d along the generators found so far and the twin swaps that fix
+    v_0..v_{d-1} composes one permutation carrying v_d to each other vertex
+    of its orbit in that prefix's stabilizer: the level's transversal.
+
+    The list holds the generators found, then the twin swaps, then each
+    level's transversal, from the bottom level up, each element followed
+    by its inverse, less those listed before.  Each generator found at
+    level d carries v_d to a vertex no earlier one reached, so it is its
+    level's transversal element for that vertex, and its inverse follows;
+    a twin swap is its own inverse.  K_n has no path: its list is the n-1
+    adjacent transpositions.  Nothing here runs `check_automorphism`:
     `_match_below` tests each match with `_maps_edges`, a twin swap is an
-    automorphism by definition, and `ArrowInstance.symmetries`, where the
-    search takes the generators, checks every one before it is used.
+    automorphism by definition, a transversal element is composed of
+    automorphisms, and `ArrowInstance.symmetries`, where the search takes
+    the permutations, checks every one before it is used.
     """
     n, adj = g.n, g.adj
     # Union-find: orbits of the known automorphisms.  A twin swap may move
@@ -513,6 +530,7 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
         t = _target(cells, twins)
     bottom = cells
     found = []
+    transversal = []
     for d in range(len(path) - 1, -1, -1):
         cells, t, v = path[d]
         failed = []  # one vertex of each orbit known to hold no image of v
@@ -527,4 +545,17 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
             found.append(perm)
             for x in range(n):
                 _union(parent, x, perm[x])
-    return found + swaps
+        # The level's transversal: by BFS from v along the automorphisms
+        # known to fix the prefix, reach[x] carries v to x.
+        prefix = [path[j][2] for j in range(d)]
+        known = found + [s for s in swaps if all(s[x] == x for x in prefix)]
+        reach = {v: tuple(range(n))}
+        queue = [v]
+        for x in queue:  # grows while it is read
+            for s in known:
+                if s[x] not in reach:
+                    reach[s[x]] = tuple([s[i] for i in reach[x]])
+                    queue.append(s[x])
+        for u in list(reach.values())[1:]:  # all but v's identity
+            transversal += (u, tuple(sorted(range(n), key=u.__getitem__)))
+    return list(dict.fromkeys(found + swaps + transversal))  # each once, in order

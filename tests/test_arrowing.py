@@ -13,14 +13,16 @@ from folkman.arrowing import (ArrowInstance, ArrowSpec, ColoringError,
                               arrows_edges, arrows_vertices,
                               decimal, is_free_edge_coloring,
                               ramsey_known, neighborhood_clique_bounds)
-from folkman.graphs import Graph, circulant, complete, cycle, edges, join
-from folkman.bounds import bound_certificate, build_q, build_theorem_graph
+from folkman.graphs import (Graph, _individualize, _refine, _target, _twin_classes,
+                            automorphism_generators, check_automorphism, circulant,
+                            complete, cycle, edges, join, mask_of)
+from folkman.bounds import bound_certificate, build_lin_graph, build_q, build_theorem_graph
 from folkman.cnf import (CnfError, decode_model, dimacs_sha256, emit_dimacs,
                          encode_edge_arrowing)
 from oracles import (brute_arrows_edges, brute_arrows_edges_2color,
                      brute_arrows_vertices, brute_cliques, brute_first_free_coloring,
                      brute_first_free_vertex_coloring, disjoint_union,
-                     random_graph, relabelled)
+                     generated_group, random_graph, relabelled)
 
 
 def unbounded(g: Graph, spec: ArrowSpec) -> ArrowInstance:
@@ -160,11 +162,12 @@ def test_arrows_vertices_q():
     out = arrows_vertices(build_q(), ArrowSpec((3, 4)))
     assert out.verdict is Verdict.ARROWS
     # The counts pin the vertex search's order, propagation and symmetry
-    # test: two generators of Q's 52 automorphisms cut 3 branches (72 nodes
-    # and 223 propagations without them).
-    assert (out.stats.nodes, out.stats.propagations) == (54, 150)
-    assert out.stats.prunings == {"clique": 25, "symmetry": 3}
-    assert out.stats.generators == 2
+    # test: 24 of Q's 52 automorphisms (its two generators, and a
+    # transversal of the root level, the 13 rotations, with inverses) cut 6
+    # branches (72 nodes and 223 propagations without them).
+    assert (out.stats.nodes, out.stats.propagations) == (32, 72)
+    assert out.stats.prunings == {"clique": 11, "symmetry": 6}
+    assert out.stats.generators == 24
 
 
 def test_arrows_vertices_pigeonhole():
@@ -437,7 +440,7 @@ def test_arrows_edges_budget_exhaustion():
 
 @pytest.mark.parametrize("search,g,sizes,nodes", [
     (arrows_edges, complete(6), (3, 3), 13),
-    (arrows_vertices, build_q(), (3, 4), 54),
+    (arrows_vertices, build_q(), (3, 4), 32),
     (arrows_edges, complete(6), (2, 3, 3), 16),
 ])
 def test_node_budget_is_exact(search, g, sizes, nodes):
@@ -525,9 +528,9 @@ def test_arrows_edges_search_pins():
     out = arrows_edges(join(complete(1), c5c5), ArrowSpec((3, 3)),
                        budget=SearchBudget(max_nodes=10_000))
     assert out.verdict is Verdict.ARROWS
-    assert (out.stats.nodes, out.stats.propagations) == (73, 71)
-    assert out.stats.prunings == {"neighborhood": 31, "symmetry": 6}
-    assert out.stats.generators == 5
+    assert (out.stats.nodes, out.stats.propagations) == (61, 66)
+    assert out.stats.prunings == {"neighborhood": 23, "symmetry": 8}
+    assert out.stats.generators == 23
     # A decision tries only the colors in its edge's domain: with (2,3,3)
     # color 1 is in no domain, so no edge of K5 is tried in it; in K7
     # (3,3,3) the colors propagation took out of a domain are not tried.
@@ -546,22 +549,22 @@ def test_arrows_edges_search_pins():
 # move them, such as a new forcing order (ROADMAP item 5), and give the
 # reason in CHANGES.md.
 SWEEP_PINS = {
-    ("edges", (3,)): (586, 0, {"clique": 132}, 416),
-    ("edges", (2, 3)): (586, 0, {"neighborhood": 132}, 416),
-    ("edges", (3, 3)): (1350, 449, {"neighborhood": 113, "symmetry": 8}, 416),
-    ("edges", (3, 4)): (1191, 535, {"neighborhood": 26}, 416),
-    ("edges", (2, 3, 3)): (1362, 682, {"clique": 113, "symmetry": 16}, 416),
-    ("edges", (3, 3, 3)): (1631, 172, {"clique": 28, "symmetry": 4}, 416),
-    ("edges", (2, 2, 3, 3)): (1362, 682, {"clique": 113, "symmetry": 16}, 416),
-    ("edges", (3, 3, 3, 3)): (1678, 37, {"clique": 5}, 416),
-    ("vertices", (2,)): (263, 0, {"clique": 206}, 488),
-    ("vertices", (3,)): (727, 0, {"clique": 132}, 488),
-    ("vertices", (2, 3)): (636, 1298, {"clique": 205}, 488),
-    ("vertices", (3, 3)): (972, 440, {"clique": 51}, 488),
-    ("vertices", (2, 2, 3)): (1129, 720, {"clique": 137, "symmetry": 34}, 488),
-    ("vertices", (2, 3, 4)): (1186, 148, {"clique": 12, "symmetry": 12}, 488),
-    ("vertices", (2, 2, 2, 3)): (1313, 266, {"clique": 60, "symmetry": 60}, 488),
-    ("vertices", (2, 2, 2, 2)): (1260, 437, {"clique": 120}, 488),
+    ("edges", (3,)): (586, 0, {"clique": 132}, 887),
+    ("edges", (2, 3)): (586, 0, {"neighborhood": 132}, 887),
+    ("edges", (3, 3)): (1350, 449, {"neighborhood": 113, "symmetry": 8}, 887),
+    ("edges", (3, 4)): (1191, 535, {"neighborhood": 26}, 887),
+    ("edges", (2, 3, 3)): (1362, 682, {"clique": 113, "symmetry": 16}, 887),
+    ("edges", (3, 3, 3)): (1631, 172, {"clique": 28, "symmetry": 4}, 887),
+    ("edges", (2, 2, 3, 3)): (1362, 682, {"clique": 113, "symmetry": 16}, 887),
+    ("edges", (3, 3, 3, 3)): (1678, 37, {"clique": 5}, 887),
+    ("vertices", (2,)): (263, 0, {"clique": 206}, 965),
+    ("vertices", (3,)): (727, 0, {"clique": 132}, 965),
+    ("vertices", (2, 3)): (636, 1298, {"clique": 205}, 965),
+    ("vertices", (3, 3)): (972, 440, {"clique": 51}, 965),
+    ("vertices", (2, 2, 3)): (1129, 720, {"clique": 137, "symmetry": 34}, 965),
+    ("vertices", (2, 3, 4)): (1186, 148, {"clique": 12, "symmetry": 12}, 965),
+    ("vertices", (2, 2, 2, 3)): (1313, 266, {"clique": 60, "symmetry": 60}, 965),
+    ("vertices", (2, 2, 2, 2)): (1260, 437, {"clique": 120}, 965),
 }
 # sha256 over (search, sizes, verdict, witness colors) of every case, in order.
 SWEEP_WITNESS_SHA256 = "9da9c6d1cf4452860383aba8e6cce6b568a4d0cc9196f38607b662d5119315bb"
@@ -637,6 +640,82 @@ def test_symmetry_cut_keeps_verdict_and_witness(kind, g, sizes):
     assert cut.stats.nodes <= plain.stats.nodes
     assert cut.stats.prunings.get("symmetry", 0) > 0 and cut.stats.generators > 0
     assert "symmetry" not in plain.stats.prunings and plain.stats.generators == 0
+
+
+def first_path(g: Graph) -> list[int]:
+    """The vertices v_0, v_1, ... that the first path of
+    `automorphism_generators` individualizes, rebuilt from its helpers."""
+    twins = [1 << v for v in range(g.n)]
+    for cls in _twin_classes(g):
+        for v in cls:
+            twins[v] = mask_of(cls)
+    full = (1 << g.n) - 1
+    cells, _ = _refine(g.adj, [full], [full])
+    path = []
+    t = _target(cells, twins)
+    while t is not None:
+        v = (cells[t] & -cells[t]).bit_length() - 1
+        path.append(v)
+        cells, _ = _individualize(g.adj, cells, t, v)
+        t = _target(cells, twins)
+    return path
+
+
+def test_automorphisms_hold_a_transversal_of_each_level():
+    # The search compares each partial coloring with its images under every
+    # permutation `automorphism_generators` returns.  They are automorphisms,
+    # none twice, and closed under inverses.  For each level d of the first
+    # path, those that fix v_0..v_{d-1} carry v_d onto every vertex of its
+    # orbit: the images are closed under them and, where the group is small
+    # enough to list, they are the orbit of v_d in the prefix's stabilizer.
+    rng = random.Random(71)
+    q, c5 = build_q(), cycle(5)
+    graphs = [random_graph(rng, rng.randint(1, 9), p=rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(200)]
+    graphs += symmetric_graphs(max_n=10, max_edges=45)
+    graphs += [complete(9), join(c5, join(c5, c5)), join(complete(2), q),
+               join(complete(3), q), join(complete(3), join(c5, c5)),
+               build_theorem_graph(), build_lin_graph()]
+    levels = compared = 0
+    for g in graphs:
+        perms = automorphism_generators(g)
+        for perm in perms:
+            check_automorphism(g, perm)
+        assert len(set(perms)) == len(perms)
+        inverses = {tuple(sorted(range(g.n), key=perm.__getitem__)) for perm in perms}
+        assert inverses == set(perms), edges(g)
+        group = generated_group(g.n, perms) if g.n <= 7 else None
+        path = first_path(g)
+        for d, v in enumerate(path):
+            fixing = [p for p in perms if all(p[x] == x for x in path[:d])]
+            orbit = {v} | {p[v] for p in fixing}
+            assert all(p[x] in orbit for p in fixing for x in orbit), (edges(g), d)
+            if group is not None:
+                stabilizer = [p for p in group if all(p[x] == x for x in path[:d])]
+                assert orbit == {p[v] for p in stabilizer}, (edges(g), d)
+                compared += 1
+            levels += 1
+    assert (levels, compared) == (196, 87)
+
+
+def test_relabelled_c5c5c5_trees_are_pinned():
+    # The lex-leader test takes a transversal of every stabilizer level, so
+    # C5+C5+C5 (3,3) takes 1,605 nodes as built (2,973 with the generators
+    # alone) and 36,684 over the 24 relabellings that the benchmark's
+    # `exhaust` workload gives it at seed 701 (92,298 with the generators).
+    c5 = cycle(5)
+    g = join(c5, join(c5, c5))
+    out = arrows_edges(g, ArrowSpec((3, 3)))
+    assert (out.verdict, out.stats.nodes) == (Verdict.ARROWS, 1605)
+    total = 0
+    for r in range(24):
+        perm = list(range(g.n))  # perfbench/inputs.py's instance_for_round
+        random.Random(f"701/{r}/C5+C5+C5").shuffle(perm)
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in edges(g)])
+        out = arrows_edges(h, ArrowSpec((3, 3)))
+        assert out.verdict is Verdict.ARROWS
+        total += out.stats.nodes
+    assert total == 36684
 
 
 def test_search_refuses_a_non_automorphism(monkeypatch):

@@ -463,6 +463,29 @@ def test_over_long_numbers_are_named(capsys):
         assert "Exceeds the limit" not in err
 
 
+def test_over_long_integer_flag_is_named(capsys):
+    # argparse would echo the whole number back on one stderr line.
+    code, out, err = run(capsys, "arrows", "edges", "--graph", "K6", "--spec", "3,3",
+                         "--max-nodes", "9" * 5000)
+    assert (code, out) == (3, "")
+    last = err.rstrip().splitlines()[-1]
+    assert last.startswith("error: argument --max-nodes: ") and "5000 digits" in last
+    assert len(last.encode()) < 200
+
+
+def test_max_seconds_takes_ascii_decimals_only(capsys):
+    # float() alone would run `1_0` and Arabic-Indic digits as 10 seconds.
+    k6 = ["arrows", "edges", "--graph", "K6", "--spec", "3,3", "--max-seconds"]
+    for seconds in ["1_0", "\u0661\u0660", "\uff11", "1e1", "+1", "1.2.3", ".", "", "inf"]:
+        code, out, err = run(capsys, *k6, seconds)
+        assert (code, out) == (3, ""), seconds
+        assert err.rstrip().splitlines()[-1].startswith(
+            "error: argument --max-seconds: max_seconds must be positive and finite"), seconds
+    for seconds in ["1.5", " 2 ", "3.", ".5"]:
+        code, out, _ = run(capsys, *k6, seconds)
+        assert code == 0 and out_map(out)["nodes"] == "13", seconds
+
+
 def test_internal_error_exits_4(capsys, monkeypatch):
     # A search that produces a non-free witness is a bug in the program,
     # not a verdict: it must not exit 0, 1 or 2.
@@ -493,7 +516,7 @@ def test_vertex_search_progress(capsys):
     code, out, err = run(capsys, "arrows", "vertices", "--graph", "q",
                          "--spec", "3,4", "--progress", "5")
     assert code == 0
-    assert out_map(out)["nodes"] == "54"
+    assert out_map(out)["nodes"] == "32"
     assert any(line.startswith("progress nodes=5 ") for line in err.splitlines())
     assert "progress" not in out
 

@@ -332,9 +332,10 @@ def test_individualize_refines_from_one_splitter():
 
 # sha256 of the repr of the benchmark graphs' `automorphism_generators`
 # lists, the graphs as the package builds them.  The exhaust and witness
-# node counts depend on the exact generators, not only on the group they
-# generate.  Re-pin only with the reason given in CHANGES.md.
-GENERATORS_SHA256 = "91d188e6c619ec1609b53ca9cd5e1ce38e896caf63596d2748a300edccbaa88f"
+# node counts depend on the exact permutations (generators and transversal
+# elements), not only on the group they generate.  Re-pin only with the
+# reason given in CHANGES.md.
+GENERATORS_SHA256 = "ea5f294d7137d47eecadbc8eec8a9f0cb63cb9340728fdbb1be3a49ff7bb121b"
 
 
 def test_benchmark_graph_generators_are_pinned():
@@ -342,8 +343,9 @@ def test_benchmark_graph_generators_are_pinned():
     benchmark_graphs = [complete(9), join(c5, join(c5, c5)), join(complete(2), q),
                         join(complete(3), q), join(complete(3), join(c5, c5)),
                         build_theorem_graph(), build_lin_graph()]
-    gens = repr([automorphism_generators(g) for g in benchmark_graphs])
-    assert hashlib.sha256(gens.encode()).hexdigest() == GENERATORS_SHA256
+    gens = [automorphism_generators(g) for g in benchmark_graphs]
+    assert [len(perms) for perms in gens] == [8, 49, 25, 26, 25, 31, 30]
+    assert hashlib.sha256(repr(gens).encode()).hexdigest() == GENERATORS_SHA256
 
 
 def test_automorphism_generators_twin_classes():
@@ -352,11 +354,15 @@ def test_automorphism_generators_twin_classes():
     gens = automorphism_generators(complete(128))
     assert gens == [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, 128))
                     for i in range(127)]
-    # K32,32: the twin swaps within each side and one swap of the sides.
+    # K32,32: 63 generators, the twin swaps within each side and one swap
+    # of the sides, then the one level's transversal (vertex 0's orbit is
+    # all 64 vertices) with inverses; 4 of those 126 are generators or
+    # repeats.
     g = Graph.from_edges(64, [(u, 32 + v) for u in range(32) for v in range(32)])
     gens = automorphism_generators(g)
-    assert len(gens) == 63
-    assert any(perm[0] >= 32 for perm in gens)
+    assert len(gens) == 63 + 122
+    assert any(perm[0] >= 32 for perm in gens[:63])
+    assert {perm[0] for perm in gens} == set(range(64))
 
 
 def test_check_automorphism_raises():
