@@ -411,6 +411,8 @@ def is_free_edge_coloring(g: Graph, spec: ArrowSpec, c: EdgeColoring):
     """(True, None) if no color class contains all edges of a forbidden
     clique, else (False, (color, clique)) for the first such clique in
     color, then lexicographic, order."""
+    if c.kind != "edges":
+        raise ColoringError(f"a coloring of {c.kind}, not of edges")
     if c.host is not g and c.host != g:
         raise ColoringError("coloring belongs to a different graph")
     for color in c.colors:

@@ -5,6 +5,8 @@ which keeps every set operation a single machine word pair for n <= 128.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 
 MAX_VERTICES = 128
 
@@ -428,17 +430,19 @@ def _target(cells: list[int], twins: list[int]) -> int | None:
     return None
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _union(parent: list[int], x: int, y: int) -> None:
-    x, y = _find(parent, x), _find(parent, y)
-    if x != y:
-        parent[max(x, y)] = min(x, y)
+def _orbit(v: int, known, n: int) -> dict[int, tuple[int, ...]]:
+    """v's orbit under the group that the permutations `known` generate,
+    by breadth-first search from v: {x: a composition of `known` carrying
+    v to x}, v first, with the identity.  A composition is `itemgetter` of
+    n indices, a tuple for n >= 2 (a graph with a path has n >= 3)."""
+    reach = {v: tuple(range(n))}
+    queue = [v]
+    for x in queue:  # grows while it is read
+        for s in known:
+            if s[x] not in reach:
+                reach[s[x]] = itemgetter(*reach[x])(s)
+                queue.append(s[x])
+    return reach
 
 
 def _match_below(g: Graph, path, invariants, bottom, d: int, w: int):
@@ -480,15 +484,18 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     of mutual twins.  It stops once every non-singleton cell is one: all
     permutations of such cells are automorphisms, and the adjacent
     transpositions within each twin class generate them.  Then, level by
-    level from the bottom, each vertex w of level d's target cell outside
-    the orbit of v_d under the automorphisms known to fix v_0..v_{d-1}
-    (those found so far and the twin swaps) is tried by `_match_below`; a
-    match is one more generator.  The generators found at a level and
-    below generate the stabilizer of the level's prefix, so at level 0
-    they generate Aut(G).  As level d finishes, a breadth-first search
-    from v_d along the generators found so far and the twin swaps that fix
-    v_0..v_{d-1} composes one permutation carrying v_d to each other vertex
-    of its orbit in that prefix's stabilizer: the level's transversal.
+    level from the bottom, one orbit map serves level d: `_orbit` of v_d
+    under the automorphisms known to fix v_0..v_{d-1} (the generators found
+    so far, then the twin swaps that fix that prefix; a prefix vertex is
+    the lowest left in its twin class, so the other swaps join the rest of
+    the class without it).  Each vertex w of level d's target cell outside
+    v_d's orbit, and outside the orbits of the vertices that failed, is
+    tried by `_match_below`.  A match is one more generator, and v_d's
+    orbit is mapped again; a failure's orbit holds no image of v_d.  The
+    generators found at a level and below generate the stabilizer of the
+    level's prefix, so at level 0 they generate Aut(G).  The final orbit
+    map carries v_d to each vertex of its orbit in that stabilizer: the
+    level's transversal.
 
     The list holds the generators found, then the twin swaps, then each
     level's transversal, from the bottom level up, each element followed
@@ -503,10 +510,6 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     the permutations, checks every one before it is used.
     """
     n, adj = g.n, g.adj
-    # Union-find: orbits of the known automorphisms.  A twin swap may move
-    # a level's prefix, but a prefix vertex is never a candidate, and the
-    # swaps that avoid it already join the rest of its twin class.
-    parent = list(range(n))
     twins = [1 << v for v in range(n)]
     swaps = []
     for cls in _twin_classes(g):
@@ -514,7 +517,6 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
         for v in cls:
             twins[v] = mask
         for a, b in zip(cls, cls[1:]):
-            _union(parent, a, b)
             perm = list(range(n))
             perm[a], perm[b] = b, a
             swaps.append(tuple(perm))
@@ -533,29 +535,19 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     transversal = []
     for d in range(len(path) - 1, -1, -1):
         cells, t, v = path[d]
-        failed = []  # one vertex of each orbit known to hold no image of v
+        prefix = [path[j][2] for j in range(d)]
+        fixing = [s for s in swaps if all(s[x] == x for x in prefix)]
+        orbit = _orbit(v, found + fixing, n)
+        dead = set()  # the orbits of the candidates that failed
         for w in bits_of(cells[t]):
-            root = _find(parent, w)
-            if root == _find(parent, v) or any(_find(parent, x) == root for x in failed):
+            if w in orbit or w in dead:
                 continue
             perm = _match_below(g, path, invariants, bottom, d, w)
             if perm is None:
-                failed.append(w)
-                continue
-            found.append(perm)
-            for x in range(n):
-                _union(parent, x, perm[x])
-        # The level's transversal: by BFS from v along the automorphisms
-        # known to fix the prefix, reach[x] carries v to x.
-        prefix = [path[j][2] for j in range(d)]
-        known = found + [s for s in swaps if all(s[x] == x for x in prefix)]
-        reach = {v: tuple(range(n))}
-        queue = [v]
-        for x in queue:  # grows while it is read
-            for s in known:
-                if s[x] not in reach:
-                    reach[s[x]] = tuple([s[i] for i in reach[x]])
-                    queue.append(s[x])
-        for u in list(reach.values())[1:]:  # all but v's identity
+                dead.update(_orbit(w, found + fixing, n))
+            else:
+                found.append(perm)
+                orbit = _orbit(v, found + fixing, n)
+        for u in list(orbit.values())[1:]:  # all but v's identity
             transversal += (u, tuple(sorted(range(n), key=u.__getitem__)))
     return list(dict.fromkeys(found + swaps + transversal))  # each once, in order

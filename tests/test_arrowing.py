@@ -9,7 +9,7 @@ import pytest
 from folkman import arrowing
 from folkman.arrowing import (ArrowInstance, ArrowSpec, ColoringError,
                               EdgeColoring, SearchBudget, Verdict,
-                              VertexInstance, _search,
+                              VertexColoring, VertexInstance, _search,
                               arrows_edges, arrows_vertices,
                               decimal, is_free_edge_coloring,
                               ramsey_known, neighborhood_clique_bounds)
@@ -111,6 +111,11 @@ def test_is_free_edge_coloring_partial_rejected():
         EdgeColoring(k3, (1, 1))
     with pytest.raises(ColoringError):
         is_free_edge_coloring(k3, ArrowSpec((3, 3)), EdgeColoring(k3, (1, 1, 5)))
+    # A vertex coloring is not read as edge colors, whether its length
+    # happens to match the edge count (K3) or not (K4).
+    for g, colors in [(k3, (1, 2, 1)), (complete(4), (1, 2, 1, 2))]:
+        with pytest.raises(ColoringError, match="not of edges"):
+            is_free_edge_coloring(g, ArrowSpec((3, 3)), VertexColoring(g, colors))
 
 
 def test_vertex_violation():

@@ -12,7 +12,7 @@ from folkman.graphs import (Graph, GraphError, Graph6Error, complete, cycle,
                             has_clique, max_clique, clique_number,
                             independence_number, enumerate_cliques,
                             parse_graph6, emit_graph6, automorphism_generators,
-                            check_automorphism, _individualize, _refine)
+                            check_automorphism, _individualize, _orbit, _refine)
 from oracles import (brute_automorphisms, brute_cliques, brute_clique_number,
                      disjoint_union, generated_group, random_graph, relabelled)
 
@@ -293,6 +293,22 @@ def test_automorphism_group_orders(name, order):
         assert len(generated_group(h.n, automorphism_generators(h))) == order
 
 
+def test_orbit_maps_each_vertex_of_the_orbit():
+    # `_orbit(v, gens, n)` keys v's orbit in the group gens generate, v
+    # first with the identity, and each value is a composition of gens,
+    # so an automorphism, that carries v to its key.
+    c5 = cycle(5)
+    for g in (cycle(12), petersen(), join(complete(3), join(c5, c5))):
+        gens = automorphism_generators(g)
+        group = generated_group(g.n, gens)
+        for v in range(g.n):
+            reach = _orbit(v, gens, g.n)
+            assert next(iter(reach.items())) == (v, tuple(range(g.n)))
+            assert set(reach) == {p[v] for p in group}
+            for x, perm in reach.items():
+                assert perm in group and perm[v] == x
+
+
 def is_equitable(g: Graph, cells: list[int]) -> bool:
     """Do the cells partition the vertices so that, within each cell, every
     vertex has as many neighbors in each cell?"""
@@ -346,6 +362,39 @@ def test_benchmark_graph_generators_are_pinned():
     gens = [automorphism_generators(g) for g in benchmark_graphs]
     assert [len(perms) for perms in gens] == [8, 49, 25, 26, 25, 31, 30]
     assert hashlib.sha256(repr(gens).encode()).hexdigest() == GENERATORS_SHA256
+
+
+def twin_blowup(rng, h: Graph) -> Graph:
+    """h with each vertex replaced by a class of 1-3 mutual twins, adjacent
+    or not, and each edge of h by all edges between the two classes."""
+    classes, n = [], 0
+    for _ in range(h.n):
+        size = rng.randint(1, 3)
+        classes.append(range(n, n + size))
+        n += size
+    es = [(a, b) for u, v in edges(h) for a in classes[u] for b in classes[v]]
+    for cls in classes:
+        if rng.random() < 0.5:
+            es += combinations(cls, 2)
+    return Graph.from_edges(n, es)
+
+
+# sha256 of the repr of `automorphism_generators` over a seeded sweep of
+# random graphs and twin blow-ups, each relabelled: the lists, not only the
+# groups they generate, as `GENERATORS_SHA256` pins them on the benchmark
+# graphs.  Re-pin only with the reason given in CHANGES.md.
+GENERATORS_SWEEP_SHA256 = "7bd05c23ae3b788ab9d23b387df6e19a539c1881d77882719a8a96b0eba24fbe"
+
+
+def test_generators_sweep_is_pinned():
+    rng = random.Random(67)
+    graphs = [random_graph(rng, rng.randint(1, 12), p=rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(1000)]
+    graphs += [twin_blowup(rng, random_graph(rng, rng.randint(2, 5)))
+               for _ in range(1000)]
+    gens = [automorphism_generators(relabelled(g, rng)) for g in graphs]
+    assert sum(map(len, gens)) > 5000
+    assert hashlib.sha256(repr(gens).encode()).hexdigest() == GENERATORS_SWEEP_SHA256
 
 
 def test_automorphism_generators_twin_classes():
