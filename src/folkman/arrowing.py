@@ -155,9 +155,6 @@ class SearchStats:
         self.setup_seconds = 0.0
         self.seconds = 0.0
 
-    def bump(self, cause: str):
-        self.prunings[cause] = self.prunings.get(cause, 0) + 1
-
     def to_json_obj(self) -> dict:
         return {"nodes": self.nodes, "propagations": self.propagations,
                 "generators": self.generators, "prunings": self.prunings,
@@ -499,13 +496,24 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     So the first free coloring found is still the lexicographically first
     in `inst.order`, and the verdict is that of the full tree.
 
-    A frame per decision holds its depth, the color last tried there (the
-    next is the least color above it in the item's domain) and what to
-    restore before the next color: the color masks, the colored
-    neighborhoods, the assigned-item mask, the length of `trail`, which
-    records (item, old domain) for each domain change that leaves a choice
-    (only possible with three or more colors), and the active automorphisms
-    with their positions.  The witness is `col` itself.
+    One loop runs over a stack of frames, one per decision; the root frame,
+    on `order[0]`, is made before it, and with no items there is none, so
+    the empty coloring is free.  Each pass takes the innermost frame.  With
+    no color above the one last tried left in its item's domain, the
+    decision prefix is exhausted: the frame is popped, and the next pass
+    restores from the frame below.  Otherwise the pass restores what the
+    previous color assigned, tries the next color, propagates it and
+    compares the automorphisms; a color that either step cuts is counted,
+    by its cause, at one place.  A color that passes descends: the next
+    uncolored item along `order` gets a frame, and past the end of `order`
+    every item is colored and the coloring is free.  A frame holds its
+    depth, the color last tried there (the next is the least color above
+    it in the item's domain) and what to restore before the next color:
+    the color masks, the colored neighborhoods, the assigned-item mask, the
+    length of `trail`, which records (item, old domain) for each domain
+    change that leaves a choice (only possible with three or more colors),
+    and the active automorphisms with their positions.  The witness is
+    `col` itself.
 
     `nodes` counts colors tried at decisions; each is either pruned, for
     one cause, or entered, and a color outside the item's domain is neither
@@ -539,101 +547,91 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     color_mask = [0] * (r + 1)
     nbr = [0] * ((r + 1) * n)  # nbr[c * n + u]: u's neighbors by color-c edges
     trail: list[tuple[int, int]] = []
-    frames: list[list] = []
+    # The root decision, on order[0]; with no items there is none.
+    frames = [[0, 0, tuple(color_mask), tuple(nbr), assigned, 0, sym]] if m else []
     stats = SearchStats()
     nodes = propagations = 0
     start = time.monotonic()
-    depth = 0
-    verdict = Verdict.ARROWS
-    while True:
-        while depth < m and assigned >> order[depth] & 1:
-            depth += 1
-        if depth == m:
-            verdict = Verdict.FREE_COLORING
+    verdict = Verdict.ARROWS if m else Verdict.FREE_COLORING
+    while frames:  # try the next color at the innermost decision
+        frame = frames[-1]
+        depth, c, saved_masks, saved_nbr, saved_assigned, mark, saved_sym = frame
+        eid = order[depth]
+        # eid stays colored below this frame, so propagation has not
+        # narrowed its domain: dom[eid] is read before the restore.
+        left = dom[eid] >> (c + 1)  # the colors above c in eid's domain
+        if not left:
+            frames.pop()  # exhausted: the frame below restores the state
+            continue
+        if c:  # undo what the previous color assigned
+            color_mask[:] = saved_masks
+            nbr[:] = saved_nbr
+            assigned = saved_assigned
+            while len(trail) > mark:
+                e, old = trail.pop()
+                dom[e] = old
+        if budget is not None and budget.exceeded(nodes, start):
+            verdict = Verdict.BUDGET_EXHAUSTED
             break
-        frames.append([depth, 0, tuple(color_mask), tuple(nbr), assigned, len(trail),
-                       sym])
-        while frames:  # try the next color at the innermost decision
-            frame = frames[-1]
-            depth, c, saved_masks, saved_nbr, saved_assigned, mark, saved_sym = frame
-            eid = order[depth]
-            # eid stays colored below this frame, so propagation has not
-            # narrowed its domain: dom[eid] is read before the restore.
-            left = dom[eid] >> (c + 1)  # the colors above c in eid's domain
-            if not left:
-                frames.pop()  # the frame below restores the state
-                continue
-            if c:  # undo what the previous color assigned
-                color_mask[:] = saved_masks
-                nbr[:] = saved_nbr
-                assigned = saved_assigned
-                while len(trail) > mark:
-                    e, old = trail.pop()
-                    dom[e] = old
-            if budget is not None and budget.exceeded(nodes, start):
-                verdict = Verdict.BUDGET_EXHAUSTED
-                break
-            c += (left & -left).bit_length()
-            frame[1] = c
-            nodes += 1
-            if progress_every and nodes % progress_every == 0:
-                print(f"progress nodes={nodes} depth={depth}",
-                      *(f"prunings.{cause}={count}"
-                        for cause, count in sorted(stats.prunings.items())),
-                      file=sys.stderr)
-            assigned |= 1 << eid
-            color_mask[c] |= 1 << eid
-            col[eid] = c
-            cause = None
-            queue = [(eid, c)]
-            for f, d in queue:  # grows while it is read
-                if bounds is not None:
-                    # Each earlier assignment passed this test, so a new
-                    # (b+1)-clique in u's color-d neighborhood contains v.
-                    u, v = elist[f]
-                    b = bounds[d - 1]
-                    x = nbr[d * n + u] & adj[v]
-                    y = nbr[d * n + v] & adj[u]
-                    if ((x.bit_count() >= b and has_clique(g, x, b))
-                            or (y.bit_count() >= b and has_clique(g, y, b))):
-                        cause = "neighborhood"
-                        break
-                    nbr[d * n + u] |= 1 << v
-                    nbr[d * n + v] |= 1 << u
-                other = assigned & ~color_mask[d]  # items of another color
-                free = ~assigned
-                dbit = 1 << d
-                for mask in by_edge[d][f]:
-                    if mask & other:
-                        continue
-                    miss = mask & free  # the clique's items not colored yet
-                    if miss & (miss - 1):
-                        continue
-                    if not miss:  # all colored d: two forced items closed it
-                        cause = "clique"
-                        break
-                    h = miss.bit_length() - 1
-                    left = dom[h] & ~dbit
-                    if left & (left - 1):  # a choice is left (r >= 3)
-                        if left != dom[h]:
-                            trail.append((h, dom[h]))
-                            dom[h] = left
-                        continue
-                    if not left:
-                        cause = "clique"
-                        break
-                    k = left.bit_length() - 1
-                    assigned |= miss
-                    color_mask[k] |= miss
-                    col[h] = k
-                    other |= miss
-                    propagations += 1
-                    queue.append((h, k))
-                if cause:
+        c += (left & -left).bit_length()
+        frame[1] = c
+        nodes += 1
+        if progress_every and nodes % progress_every == 0:
+            print(f"progress nodes={nodes} depth={depth}",
+                  *(f"prunings.{cause}={count}"
+                    for cause, count in sorted(stats.prunings.items())),
+                  file=sys.stderr)
+        assigned |= 1 << eid
+        color_mask[c] |= 1 << eid
+        col[eid] = c
+        cause = None
+        queue = [(eid, c)]
+        for f, d in queue:  # grows while it is read
+            if bounds is not None:
+                # Each earlier assignment passed this test, so a new
+                # (b+1)-clique in u's color-d neighborhood contains v.
+                u, v = elist[f]
+                b = bounds[d - 1]
+                x = nbr[d * n + u] & adj[v]
+                y = nbr[d * n + v] & adj[u]
+                if ((x.bit_count() >= b and has_clique(g, x, b))
+                        or (y.bit_count() >= b and has_clique(g, y, b))):
+                    cause = "neighborhood"
                     break
+                nbr[d * n + u] |= 1 << v
+                nbr[d * n + v] |= 1 << u
+            other = assigned & ~color_mask[d]  # items of another color
+            free = ~assigned
+            dbit = 1 << d
+            for mask in by_edge[d][f]:
+                if mask & other:
+                    continue
+                miss = mask & free  # the clique's items not colored yet
+                if miss & (miss - 1):
+                    continue
+                if not miss:  # all colored d: two forced items closed it
+                    cause = "clique"
+                    break
+                h = miss.bit_length() - 1
+                left = dom[h] & ~dbit
+                if left & (left - 1):  # a choice is left (r >= 3)
+                    if left != dom[h]:
+                        trail.append((h, dom[h]))
+                        dom[h] = left
+                    continue
+                if not left:
+                    cause = "clique"
+                    break
+                k = left.bit_length() - 1
+                assigned |= miss
+                color_mask[k] |= miss
+                col[h] = k
+                other |= miss
+                propagations += 1
+                queue.append((h, k))
             if cause:
-                stats.bump(cause)
-                continue
+                break
+        if not cause:
             sym = []
             for entry in saved_sym:
                 pairs, pos = entry
@@ -651,13 +649,16 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
                     sym.append(entry if pos == entry[1] else (pairs, pos))
                 if cause:
                     break
-            if cause:
-                stats.bump(cause)
-                continue
-            depth += 1
+        if cause:  # the one cut: the color tried here is pruned
+            stats.prunings[cause] = stats.prunings.get(cause, 0) + 1
+            continue
+        while depth < m and assigned >> order[depth] & 1:
+            depth += 1  # descend to the next uncolored item
+        if depth == m:
+            verdict = Verdict.FREE_COLORING
             break
-        if not frames or verdict is Verdict.BUDGET_EXHAUSTED:
-            break  # every decision exhausted, or out of budget
+        frames.append([depth, 0, tuple(color_mask), tuple(nbr), assigned, len(trail),
+                       sym])
     stats.nodes = nodes
     stats.propagations = propagations
     stats.generators = len(inst.symmetries)

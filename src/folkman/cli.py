@@ -112,7 +112,7 @@ def cmd_construct(args) -> int:
     else:
         g = resolve_graph(name)
     clique = max_clique(g)
-    indep = graphs.max_independent_set(g)
+    indep = max_clique(graphs.complement(g))
     print(f"graph6 {emit_graph6(g)}")
     print(f"label {g.label or '-'}")
     print(f"n {g.n}")

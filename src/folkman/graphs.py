@@ -212,18 +212,6 @@ def max_clique(g: Graph) -> list[int]:
     return sorted(best)
 
 
-def clique_number(g: Graph) -> int:
-    return len(max_clique(g))
-
-
-def max_independent_set(g: Graph) -> list[int]:
-    return max_clique(complement(g))
-
-
-def independence_number(g: Graph) -> int:
-    return len(max_independent_set(g))
-
-
 def has_clique(g: Graph, mask: int, k: int) -> bool:
     """Does g restricted to the vertex bitmask `mask` contain a k-clique?"""
     if k < 0:
@@ -549,5 +537,8 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
                 found.append(perm)
                 orbit = _orbit(v, found + fixing, n)
         for u in list(orbit.values())[1:]:  # all but v's identity
-            transversal += (u, tuple(sorted(range(n), key=u.__getitem__)))
+            inverse = [0] * n
+            for x, y in enumerate(u):
+                inverse[y] = x
+            transversal += (u, tuple(inverse))
     return list(dict.fromkeys(found + swaps + transversal))  # each once, in order

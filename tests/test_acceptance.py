@@ -14,8 +14,7 @@ from folkman.arrowing import (ArrowSpec, SearchBudget, Verdict, arrows_edges,
 from folkman.bounds import (CertificateError, bound_certificate, build_q,
                             build_theorem_graph)
 from folkman.cnf import dimacs_sha256, emit_dimacs, encode_edge_arrowing
-from folkman.graphs import (Graph, clique_number, complete, edges,
-                            independence_number, join)
+from folkman.graphs import Graph, complement, complete, edges, join, max_clique
 from folkman.cli import main as cli_main
 from oracles import brute_arrows_edges_2color, brute_cliques, random_graph
 
@@ -27,8 +26,8 @@ def report(n, text):
 def test_criterion_1_q_validation_gate():
     t0 = time.monotonic()
     q = build_q()  # the gate itself re-checks all three properties
-    assert clique_number(q) == 4
-    assert independence_number(q) == 2
+    assert len(max_clique(q)) == 4
+    assert len(max_clique(complement(q))) == 2
     assert arrows_vertices(q, ArrowSpec((3, 4))).verdict is Verdict.ARROWS
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
@@ -55,7 +54,7 @@ def test_criterion_3_join_identity():
     for _ in range(1000):
         a = random_graph(rng, rng.randint(1, 10), p=rng.uniform(0.2, 0.9))
         b = random_graph(rng, rng.randint(1, 10), p=rng.uniform(0.2, 0.9))
-        if clique_number(join(a, b)) != clique_number(a) + clique_number(b):
+        if len(max_clique(join(a, b))) != len(max_clique(a)) + len(max_clique(b)):
             failures += 1
     assert failures == 0
     report(3, "cl(a+b) = cl(a)+cl(b) on 1000 random pairs, zero failures")

@@ -459,6 +459,19 @@ def test_node_budget_is_exact(search, g, sizes, nodes):
         assert (out.verdict, out.stats.nodes) == (Verdict.BUDGET_EXHAUSTED, cap)
 
 
+def test_search_with_no_items_or_no_colors():
+    # With no items there is no decision to make: the coloring is free and
+    # empty at 0 nodes, whatever the budget.  An item whose domain is empty
+    # exhausts the root decision at once: ARROWS at 0 nodes.
+    for g in (Graph(3, (0, 0, 0)), complete(1)):
+        for budget in (None, SearchBudget(max_nodes=1)):
+            out = arrows_edges(g, ArrowSpec((3, 3)), budget)
+            assert out.verdict is Verdict.FREE_COLORING
+            assert (out.witness.colors, out.stats.nodes) == ((), 0)
+    out = arrows_edges(complete(2), ArrowSpec((2, 2)))
+    assert (out.verdict, out.stats.nodes) == (Verdict.ARROWS, 0)
+
+
 def test_setup_time_is_kept_apart_from_search_time(monkeypatch):
     # The index build (here its automorphisms, made slow) counts as setup;
     # `seconds`, which the time budget bounds, starts with the search loop.

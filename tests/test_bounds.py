@@ -9,8 +9,8 @@ from folkman.bounds import (CertificateError, bound_certificate, build_lin_graph
                             build_q, build_theorem_graph, check_bound_instance,
                             known_numbers, lookup_known)
 from folkman.cnf import dimacs_sha256, emit_dimacs, encode_edge_arrowing
-from folkman.graphs import (clique_number, complete, cycle, emit_graph6,
-                            independence_number, parse_graph6)
+from folkman.graphs import (complement, complete, cycle, emit_graph6, max_clique,
+                            parse_graph6)
 
 THEOREM_SHA256 = "1db983c4daf1e0fb098631f12433725bbed4c16f61082756f81ea39502e98325"
 
@@ -18,8 +18,8 @@ THEOREM_SHA256 = "1db983c4daf1e0fb098631f12433725bbed4c16f61082756f81ea39502e983
 def test_build_q_gate():
     q = build_q()
     assert q.n == 13
-    assert clique_number(q) == 4
-    assert independence_number(q) == 2
+    assert len(max_clique(q)) == 4
+    assert len(max_clique(complement(q))) == 2
     assert arrows_vertices(q, ArrowSpec((3, 4))).verdict is Verdict.ARROWS
 
 
@@ -32,13 +32,13 @@ def test_theorem_graph():
     g = build_theorem_graph()
     assert g.n == 21
     assert g.edge_count == 28 + 52 + 8 * 13  # = 184
-    assert clique_number(g) == 12
+    assert len(max_clique(g)) == 12
 
 
 def test_lin_graph():
     g = build_lin_graph()
     assert g.n == 18
-    assert clique_number(g) == 12
+    assert len(max_clique(g)) == 12
 
 
 def solver_record(g, spec, **keys):

@@ -101,6 +101,15 @@ def test_arrows_edges_k5_exit_1_with_witness(capsys, tmp_path):
     assert ok
 
 
+def test_arrows_edges_edgeless_exit_1_with_empty_witness(capsys, tmp_path):
+    wpath = tmp_path / "w.json"
+    code, out, _ = run(capsys, "arrows", "edges", "--graph", "K1",
+                       "--spec", "3,3", "--witness", str(wpath))
+    assert code == 1
+    assert out_map(out)["nodes"] == "0"
+    assert json.loads(wpath.read_text())["coloring"] == []
+
+
 def test_arrows_vertices_q_exit_0(capsys):
     code, out, _ = run(capsys, "arrows", "vertices", "--graph", "q", "--spec", "3,4")
     assert code == 0

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from folkman.bounds import build_lin_graph, build_q, build_theorem_graph
 from folkman.graphs import (Graph, GraphError, Graph6Error, complete, cycle,
                             circulant, complement, join, edges,
-                            has_clique, max_clique, clique_number,
-                            independence_number, enumerate_cliques,
+                            has_clique, max_clique, enumerate_cliques,
                             parse_graph6, emit_graph6, automorphism_generators,
                             check_automorphism, _individualize, _orbit, _refine)
 from oracles import (brute_automorphisms, brute_cliques, brute_clique_number,
-                     disjoint_union, generated_group, random_graph, relabelled)
+                     brute_independence_number, disjoint_union, generated_group,
+                     random_graph, relabelled)
 
 
 def test_complete():
@@ -22,7 +22,7 @@ def test_complete():
     assert k1.n == 1 and k1.edge_count == 0
     k8 = complete(8)
     assert k8.n == 8 and k8.edge_count == 28
-    assert clique_number(k8) == 8
+    assert len(max_clique(k8)) == 8
 
 
 def test_complete_range():
@@ -35,8 +35,8 @@ def test_complete_range():
 def test_cycle():
     c5 = cycle(5)
     assert c5.n == 5 and c5.edge_count == 5
-    assert clique_number(c5) == 2
-    assert independence_number(c5) == 2
+    assert len(max_clique(c5)) == 2
+    assert len(max_clique(complement(c5))) == 2
     with pytest.raises(GraphError):
         cycle(2)
 
@@ -60,7 +60,7 @@ def test_complement_duality_random():
     rng = random.Random(7)
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 9))
-        assert independence_number(g) == clique_number(complement(g))
+        assert len(max_clique(complement(g))) == brute_independence_number(g)
 
 
 def test_join_basics():
@@ -88,7 +88,7 @@ def test_join_clique_additivity_random():
     for _ in range(100):
         a = random_graph(rng, rng.randint(1, 8))
         b = random_graph(rng, rng.randint(1, 8))
-        assert clique_number(join(a, b)) == clique_number(a) + clique_number(b)
+        assert len(max_clique(join(a, b))) == len(max_clique(a)) + len(max_clique(b))
 
 
 def test_graph_validation():
@@ -106,7 +106,7 @@ def test_clique_number_vs_bruteforce():
     rng = random.Random(42)
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 10))
-        assert clique_number(g) == brute_clique_number(g)
+        assert len(max_clique(g)) == brute_clique_number(g)
 
 
 def test_max_clique_witness_valid():
@@ -217,7 +217,7 @@ def test_graph6_roundtrip_property(n, seed):
 @settings(max_examples=150, deadline=None)
 def test_complement_duality_property(n, seed):
     g = random_graph(random.Random(seed), n)
-    assert independence_number(g) == clique_number(complement(g))
+    assert len(max_clique(complement(g))) == brute_independence_number(g)
 
 
 # --- automorphisms -------------------------------------------------------------

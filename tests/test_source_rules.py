@@ -58,6 +58,25 @@ def test_search_reads_no_spec_sizes():
     assert lines == [], f"_search reads .sizes on line(s) {lines}"
 
 
+def test_search_has_one_pop_and_one_cut():
+    # One point where a decision prefix is exhausted (its frame is popped)
+    # and one where a tried color is cut, with its cause: a refutation log
+    # or a progress observer hooks each at that one place.
+    tree = ast.parse((SRC / "arrowing.py").read_text())
+    search = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_search")
+    pops = [node.lineno for node in ast.walk(search)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "pop" and getattr(node.func.value, "id", None) == "frames"]
+    cuts = [node.lineno for node in ast.walk(search)
+            if isinstance(node, (ast.Assign, ast.AugAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Subscript)
+            and ast.unparse(target.value) == "stats.prunings"]
+    assert len(pops) == 1, f"_search pops frames on line(s) {pops}"
+    assert len(cuts) == 1, f"_search counts prunings on line(s) {cuts}"
+
+
 SEARCH_ONLY = {"by_edge", "order", "domains", "bounds", "symmetries", "mask_of"}
 
 
