@@ -67,64 +67,25 @@ BUILTIN_GRAPHS = {
 
 # --- known-values catalog -----------------------------------------------------
 
-class KnownValueEntry:
-    __slots__ = ("sizes", "q", "low", "high", "sources", "note")
-
-    def __init__(self, sizes: tuple[int, ...], q: int, low: int, high: int,
-                 sources: tuple[str, ...], note: str = ""):
-        self.sizes = sizes
-        self.q = q
-        self.low = low
-        self.high = high
-        self.sources = sources
-        self.note = note
-        if self.low > self.high:
-            raise ValueError(f"interval [{self.low}, {self.high}] is empty")
-
-    @property
-    def exact(self) -> int | None:
-        return self.low if self.low == self.high else None
-
-    def to_json_obj(self) -> dict:
-        obj = {"spec": list(self.sizes), "q": self.q,
-               "value": self.exact if self.exact is not None
-               else [self.low, self.high],
-               "sources": list(self.sources)}
-        if self.note:
-            obj["note"] = self.note
-        return obj
-
-
-_KNOWN = (
-    KnownValueEntry((3, 3), 6, 8, 8, ("G",)),
-    KnownValueEntry((3, 4), 9, 14, 14, ("N349",)),
-    KnownValueEntry((3, 5), 14, 16, 16, ("L",)),
-    KnownValueEntry((4, 4), 18, 20, 20, ("L",)),
-    KnownValueEntry((3, 3, 3), 17, 19, 19, ("L",)),
-    KnownValueEntry((3, 4), 8, 16, 16, ("KNdokl", "KNgod")),
-    KnownValueEntry((3, 3), 5, 15, 15, ("N335", "PRU")),
-    KnownValueEntry((3, 3, 3), 16, 21, 21, ("L", "N33316")),
-    KnownValueEntry((3, 3, 3), 15, 23, 23, ("N33315",)),
-    KnownValueEntry((3, 3, 3), 14, 25, 25, ("N33314",)),
-    KnownValueEntry((3, 5), 13, 18, 21, ("L", "K8+Q"),
-                    note="lower bound from Lin; upper bound 21 from the K8+Q "
-                         "construction, improving the previous 24 (KNgod); "
-                         "the source abstract misprints the bound as "
-                         "F_e(3,5;8) <= 21, the body and corollary use q=13"),
+# The rows `folkman catalog` prints: `spec` ascending, `value` the exact
+# F_e(spec; q) or its interval [low, high].
+CATALOG = (
+    {"spec": [3, 3], "q": 6, "value": 8, "sources": ["G"]},
+    {"spec": [3, 4], "q": 9, "value": 14, "sources": ["N349"]},
+    {"spec": [3, 5], "q": 14, "value": 16, "sources": ["L"]},
+    {"spec": [4, 4], "q": 18, "value": 20, "sources": ["L"]},
+    {"spec": [3, 3, 3], "q": 17, "value": 19, "sources": ["L"]},
+    {"spec": [3, 4], "q": 8, "value": 16, "sources": ["KNdokl", "KNgod"]},
+    {"spec": [3, 3], "q": 5, "value": 15, "sources": ["N335", "PRU"]},
+    {"spec": [3, 3, 3], "q": 16, "value": 21, "sources": ["L", "N33316"]},
+    {"spec": [3, 3, 3], "q": 15, "value": 23, "sources": ["N33315"]},
+    {"spec": [3, 3, 3], "q": 14, "value": 25, "sources": ["N33314"]},
+    {"spec": [3, 5], "q": 13, "value": [18, 21], "sources": ["L", "K8+Q"],
+     "note": "lower bound from Lin; upper bound 21 from the K8+Q "
+             "construction, improving the previous 24 (KNgod); "
+             "the source abstract misprints the bound as "
+             "F_e(3,5;8) <= 21, the body and corollary use q=13"},
 )
-
-
-def known_numbers() -> list[KnownValueEntry]:
-    return list(_KNOWN)
-
-
-def lookup_known(sizes, q: int) -> KnownValueEntry | None:
-    # F_e is symmetric in the a_i; catalog entries list them ascending.
-    sizes = tuple(sorted(sizes))
-    for entry in _KNOWN:
-        if entry.sizes == sizes and entry.q == q:
-            return entry
-    return None
 
 
 # --- bound certificates -------------------------------------------------------
@@ -143,7 +104,22 @@ def check_bound_instance(g: Graph, spec: ArrowSpec, q: int) -> int:
     cl = len(max_clique(g))
     if cl >= q:
         raise CertificateError(f"clique number {cl} >= q={q}: graph ineligible")
-    _check_catalog(spec, q, g.n)
+    # A bound below the best published upper bound is refused along with
+    # one that contradicts a published lower bound: a new bound should not
+    # rest on evidence no independent checker has seen.
+    sizes = sorted(spec.sizes)  # F_e is symmetric in the a_i
+    for row in CATALOG:
+        if row["spec"] == sizes and row["q"] == q:
+            value = row["value"]
+            low, high = (value, value) if isinstance(value, int) else value
+            if g.n < low:
+                raise CertificateError(
+                    f"F_e({spec};{q}) <= {g.n} contradicts the known lower bound "
+                    f"{low} ({', '.join(row['sources'])})")
+            if g.n < high:
+                raise CertificateError(
+                    f"F_e({spec};{q}) <= {g.n} would beat the best published upper "
+                    f"bound {high}; a new bound is not certified here")
     return cl
 
 
@@ -189,23 +165,6 @@ def _evidence_record(g: Graph, spec: ArrowSpec, evidence) -> dict:
     # UNSAT is still the solver's word: no proof of it is checked here.
     return {**evidence, "kind": "solver-unsat", "checked": False,
             "dimacs_sha256": sha}
-
-
-def _check_catalog(spec: ArrowSpec, q: int, n: int):
-    # A bound below the best published upper bound is refused along with
-    # one that contradicts a published lower bound: a new bound should not
-    # rest on evidence no independent checker has seen.
-    entry = lookup_known(spec.sizes, q)
-    if entry is None:
-        return
-    if n < entry.low:
-        raise CertificateError(
-            f"F_e({spec};{q}) <= {n} contradicts the known lower bound "
-            f"{entry.low} ({', '.join(entry.sources)})")
-    if n < entry.high:
-        raise CertificateError(
-            f"F_e({spec};{q}) <= {n} would beat the best published upper "
-            f"bound {entry.high}; a new bound is not certified here")
 
 
 def bound_certificate(g: Graph, spec: ArrowSpec, q: int, evidence) -> dict:

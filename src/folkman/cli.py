@@ -210,8 +210,7 @@ def cmd_certify(args) -> int:
 def cmd_catalog(args) -> int:
     import json
     from . import bounds
-    obj = [e.to_json_obj() for e in bounds.known_numbers()]
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(json.dumps(bounds.CATALOG, indent=2) + "\n")
     return 0
 
 

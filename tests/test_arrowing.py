@@ -109,8 +109,13 @@ def test_is_free_edge_coloring_partial_rejected():
     k3 = complete(3)
     with pytest.raises(ColoringError):
         EdgeColoring(k3, (1, 1))
+    with pytest.raises(ColoringError, match="2 colors for 3 vertices"):
+        VertexColoring(k3, (1, 2))
     with pytest.raises(ColoringError):
         is_free_edge_coloring(k3, ArrowSpec((3, 3)), EdgeColoring(k3, (1, 1, 5)))
+    with pytest.raises(ColoringError, match="different graph"):
+        is_free_edge_coloring(complete(4), ArrowSpec((3, 3)),
+                              EdgeColoring(cycle(4), (1, 2, 1, 2)))
     # A vertex coloring is not read as edge colors, whether its length
     # happens to match the edge count (K3) or not (K4).
     for g, colors in [(k3, (1, 2, 1)), (complete(4), (1, 2, 1, 2))]:
@@ -494,6 +499,8 @@ def test_budget_refuses_non_finite_seconds():
         with pytest.raises(ValueError, match="max_seconds"):
             SearchBudget(max_seconds=seconds)
     assert SearchBudget(max_seconds=0.5).max_seconds == 0.5
+    with pytest.raises(ValueError, match="max_nodes must be positive"):
+        SearchBudget(max_nodes=0)
 
 
 def test_arrows_vertices_budget_exhaustion():

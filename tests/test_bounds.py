@@ -5,9 +5,9 @@ import pytest
 import folkman
 from folkman.arrowing import (ArrowSpec, SearchBudget, Verdict, arrows_edges,
                               arrows_vertices)
-from folkman.bounds import (CertificateError, bound_certificate, build_lin_graph,
-                            build_q, build_theorem_graph, check_bound_instance,
-                            known_numbers, lookup_known)
+from folkman.bounds import (CATALOG, CertificateError, bound_certificate,
+                            build_lin_graph, build_q, build_theorem_graph,
+                            check_bound_instance)
 from folkman.cnf import dimacs_sha256, emit_dimacs, encode_edge_arrowing
 from folkman.graphs import (complement, complete, cycle, emit_graph6, max_clique,
                             parse_graph6)
@@ -107,6 +107,8 @@ def test_certificate_ties_records_to_instance():
         bound_certificate(k6, spec, 7, run_record)
     with pytest.raises(CertificateError, match="not a solver UNSAT record"):
         bound_certificate(k6, spec, 7, {"verdict": "arrows"})
+    with pytest.raises(CertificateError, match="unsupported evidence type list"):
+        bound_certificate(k6, spec, 7, ["UNSAT"])
     for record in ({"status": "UNSAT"},
                    {"status": "UNSAT", "dimacs_sha256": "0" * 64},
                    solver_record(complete(7), spec),
@@ -186,25 +188,23 @@ def test_certificate_rejects_sat_solver_record():
         bound_certificate(complete(6), ArrowSpec((3, 3)), 7, {"status": 1})
 
 
-def test_known_numbers_catalog():
-    entries = known_numbers()
-    assert lookup_known((3, 4), 9).exact == 14
-    assert lookup_known((3, 3), 6).exact == 8
-    assert lookup_known((3, 5), 14).exact == 16
-    assert lookup_known((3, 3, 3), 14).exact == 25
-    assert lookup_known((9, 9), 9) is None
-    e = lookup_known((3, 5), 13)
-    assert (e.low, e.high) == (18, 21)
-    assert lookup_known((5, 3), 13) is e  # F_e is symmetric in the a_i
-    assert e.exact is None
-    # every equality entry is a degenerate interval
-    for entry in entries:
-        assert entry.low <= entry.high
-        if entry.sizes != (3, 5) or entry.q != 13:
-            assert entry.exact is not None
-
-
-def test_catalog_interval_validation():
-    from folkman.bounds import KnownValueEntry
-    with pytest.raises(ValueError):
-        KnownValueEntry((3, 3), 6, 9, 8, ("x",))
+def test_catalog_rows():
+    values = {(tuple(row["spec"]), row["q"]): row["value"] for row in CATALOG}
+    assert len(values) == len(CATALOG)  # one row per (spec, q)
+    assert values[(3, 4), 9] == 14
+    assert values[(3, 3), 6] == 8
+    assert values[(3, 5), 14] == 16
+    assert values[(3, 3, 3), 14] == 25
+    assert ((9, 9), 9) not in values
+    assert values[(3, 5), 13] == [18, 21]
+    for row in CATALOG:
+        # The gate sorts the spec it looks up, so an unsorted row never matches.
+        assert row["spec"] == sorted(row["spec"]), row
+        assert row["sources"], row
+        value = row["value"]
+        if (row["spec"], row["q"]) == ([3, 5], 13):
+            low, high = value
+            assert low < high
+        else:
+            # Every other row is an exact value.
+            assert isinstance(value, int), row

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -8,6 +9,8 @@ from folkman.arrowing import ArrowInstance
 from folkman.cli import main
 from folkman.graphs import complete, cycle, edges, emit_graph6, join, parse_graph6
 from oracles import brute_arrows_edges_2color, relabelled
+
+CATALOG_SHA256 = "eac2c84f2b63bf9c2b9474aff370f72acb0b97cfd994d867988079fe16124672"
 
 
 def run(capsys, *argv):
@@ -116,6 +119,16 @@ def test_arrows_vertices_q_exit_0(capsys):
     assert out_map(out)["verdict"] == "arrows"
 
 
+def test_arrows_vertices_c5_exit_1_with_witness(capsys, tmp_path):
+    wpath = tmp_path / "w.json"
+    code, out, _ = run(capsys, "arrows", "vertices", "--graph", "C5", "--spec", "2,3",
+                       "--witness", str(wpath))
+    assert code == 1
+    obj = json.loads(wpath.read_text())
+    assert obj["kind"] == "vertices"
+    assert obj["coloring"] == [1, 2, 1, 2, 2]
+
+
 def test_arrows_budget_exit_2(capsys):
     # K9 -> (3,4) now takes 98 nodes; the open K8+C5+C5 -> (3,5) takes
     # millions.
@@ -123,6 +136,10 @@ def test_arrows_budget_exit_2(capsys):
                        "--spec", "3,5", "--max-nodes", "100")
     assert code == 2
     assert out_map(out)["verdict"] == "budget-exhausted"
+    # A budget of no nodes is refused, not run out.
+    code, out, err = run(capsys, "arrows", "edges", "--graph", "K5", "--spec", "3,3",
+                         "--max-nodes", "0")
+    assert (code, out, err) == (3, "", "error: max_nodes must be positive\n")
 
 
 def test_arrows_node_budget_counts_tried_colors(capsys):
@@ -309,6 +326,8 @@ def test_catalog(capsys):
     assert code == 0
     entries = json.loads(out)
     assert {"spec": [3, 4], "q": 9, "value": 14, "sources": ["N349"]} in entries
+    # The catalog's bytes are pinned: the certify gate reads these rows.
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_SHA256
 
 
 def test_deterministic_outputs_byte_identical(capsys, tmp_path):
@@ -419,7 +438,7 @@ def test_unwritable_output_exits_3(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_construct_bad_parameters_exit_3(capsys):
+def test_construct_bad_parameters_exit_3(capsys, tmp_path):
     code, out, err = run(capsys, "construct", "circulant", "13", "a,b")
     assert code == 3
     assert out == ""
@@ -436,6 +455,17 @@ def test_construct_bad_parameters_exit_3(capsys):
         code, out, err = run(capsys, "construct", *argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("error: ") and message in err, argv
+    for argv, message in [
+            (["circulant", "13"], "usage: construct circulant <n> <d1,d2,...>"),
+            (["join", "K3"], "usage: construct join <graph> <graph>"),
+            (["q", "extra"], "construct q takes no parameters")]:
+        code, out, err = run(capsys, "construct", *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n"), argv
+    bad = tmp_path / "bad.g6"
+    bad.write_text("~~??????\n")
+    code, out, err = run(capsys, "construct", f"@{bad}")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: bad graph6 file {bad}: ")
     code, out, _ = run(capsys, "construct", "circulant", "13", " 1, 5")
     assert code == 0 and out_map(out)["label"] == "C13(1,5)"
 

@@ -80,6 +80,10 @@ def test_parse_dimacs_errors():
         parse_dimacs("p cnf 2 2\n1 2 0\n")  # clause count mismatch
     with pytest.raises(CnfError):
         parse_dimacs("p cnf 1 1\n1 2 0\n")  # variable out of range
+    with pytest.raises(CnfError, match="malformed problem line: 'p cnf 3'"):
+        parse_dimacs("p cnf 3\n")
+    with pytest.raises(CnfError, match="missing problem line"):
+        parse_dimacs("c only a comment\n")
     with pytest.raises(CnfError, match="second problem line"):
         parse_dimacs("p cnf 3 1\n1 2 0\np cnf 2 1\n")
     for header in ("p cnf -1 0\n", "p cnf 2 -1\n"):
@@ -174,6 +178,8 @@ def test_decode_model_rejects_foreign_model():
         decode_model(g, ArrowSpec((3, 3)), [-1, 2, 3, 1])
     with pytest.raises(CnfError, match="variable 999, outside 1..3"):
         decode_model(g, ArrowSpec((3, 3)), [-1, 2, 3, 999])
+    with pytest.raises(CnfError, match="2-color specs only"):
+        decode_model(g, ArrowSpec((3, 3, 3)), [-1, 2, 3])
     # A literal repeated with the same sign is the same assignment.
     assert decode_model(g, ArrowSpec((3, 3)), [-1, 2, 3, -1]).colors == (2, 1, 1)
 

@@ -92,14 +92,21 @@ def test_join_clique_additivity_random():
 
 
 def test_graph_validation():
-    with pytest.raises(GraphError):
-        Graph(2, (1, 0))  # asymmetric
+    for n in (0, 129):
+        with pytest.raises(GraphError, match=f"vertex count {n} outside 1..128"):
+            Graph(n, (0,) * n)
+    with pytest.raises(GraphError, match="row count"):
+        Graph(3, (0, 0))
+    with pytest.raises(GraphError, match="asymmetric adjacency between 0 and 1"):
+        Graph(2, (0b10, 0))
     with pytest.raises(GraphError):
         Graph(1, (1,))  # loop
     with pytest.raises(GraphError):
         Graph(2, (4, 0))  # out of range
     with pytest.raises(GraphError):
         Graph.from_edges(3, [(0, 0)])
+    with pytest.raises(GraphError, match=r"edge \(0,3\) out of range for n=3"):
+        Graph.from_edges(3, [(0, 3)])
 
 
 def test_clique_number_vs_bruteforce():
@@ -203,6 +210,10 @@ def test_graph6_errors():
         parse_graph6("D?{{")  # too long
     with pytest.raises(Graph6Error):
         parse_graph6("\x1f??")  # byte below range
+    with pytest.raises(Graph6Error, match="size header"):
+        parse_graph6("~~??????")  # n = 0 in the 8-byte header
+    with pytest.raises(Graph6Error, match="padding bits"):
+        parse_graph6("A@")
 
 
 @given(st.integers(1, 16), st.integers(0, 2**60))

@@ -89,6 +89,36 @@ def names_read(tree) -> list[tuple[int, str]]:
                          if isinstance(node, ast.ImportFrom) else [])]
 
 
+def definitions(tree):
+    """Each top-level function and class in `tree`, and each method of a
+    top-level class that is not a dunder."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, defs)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def test_every_definition_is_named_outside_itself():
+    # Only code that a command, `certify` or the benchmark runs stays in the
+    # package, so each definition is named somewhere in the package or the
+    # benchmark other than in its own body.
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    trees = {path: ast.parse(path.read_text())
+             for path in MODULES + sorted(bench.glob("*.py"))}
+    named = [(path, line, name) for path, tree in trees.items()
+             for line, name in names_read(tree)]
+    unnamed = [f"{path.name}:{node.lineno} {node.name}"
+               for path in MODULES for node in definitions(trees[path])
+               if not any(name == node.name and not (
+                   where == path and node.lineno <= line <= node.end_lineno)
+                   for where, line, name in named)]
+    assert len(list(definitions(trees[SRC / "arrowing.py"]))) > 10
+    assert unnamed == [], f"defined but never named elsewhere: {unnamed}"
+
+
 def test_encoder_reads_no_search_data():
     # Encoding pays only for the instance's cliques and their item ids: the
     # search index, which holds the clique bitmasks, is built on first read,
