@@ -215,6 +215,11 @@ class SearchOutcome:
 
 # --- the constraint core of an arrowing instance -----------------------------
 
+# Classical two-color Ramsey numbers R(s, t), s <= t, for the caps in
+# `ArrowInstance.bounds`.
+_RAMSEY = {(3, 3): 6, (3, 4): 9, (3, 5): 14, (3, 6): 18, (4, 4): 18}
+
+
 class ArrowInstance:
     """The constraints of one edge-arrowing question G -> (a_1,...,a_r).
 
@@ -331,9 +336,26 @@ class ArrowInstance:
     @cached_property
     def bounds(self) -> tuple[int, int] | None:
         """Per-color caps on the clique number of a vertex's same-color
-        neighborhood, `neighborhood_clique_bounds(spec)`, for 2-color specs;
-        None, and no neighborhood test in the search, otherwise."""
-        return neighborhood_clique_bounds(self.spec) if self.spec.r == 2 else None
+        neighborhood that any free 2-coloring obeys: R(a_1-1, a_2) - 1 for
+        color 1 and R(a_1, a_2-1) - 1 for color 2.
+
+        A clique of size R(a_1-1, a_2) inside v's color-1 neighborhood forces
+        a monochromatic clique no matter how its edges end up colored (a
+        color-1 edge closes an a_1-clique through v; otherwise the clique is
+        a color-2 a_2-clique), and symmetrically for color 2.  R is symmetric,
+        R(1, t) = 1 and R(2, t) = t; other values come from `_RAMSEY`.  None,
+        and no neighborhood test in the search, unless the spec has exactly 2
+        colors and `_RAMSEY` holds every value needed."""
+        if self.spec.r != 2:
+            return None
+        a1, a2 = self.spec.sizes
+        caps = []
+        for s, t in sorted((a1 - 1, a2)), sorted((a1, a2 - 1)):
+            ramsey = 1 if s == 1 else t if s == 2 else _RAMSEY.get((s, t))
+            if ramsey is None:
+                return None
+            caps.append(ramsey - 1)
+        return tuple(caps)
 
     def _image(self, perm) -> tuple[int, ...]:
         # The image of each item under the vertex permutation perm.
@@ -417,42 +439,6 @@ def is_free_edge_coloring(g: Graph, spec: ArrowSpec, c: EdgeColoring):
             raise ColoringError(f"color {color} outside 1..{spec.r}")
     violation = ArrowInstance(g, spec).violation(c.colors)
     return violation is None, violation
-
-
-# --- Ramsey registry and derived pruning bounds ------------------------------
-
-_RAMSEY = {(3, 3): 6, (3, 4): 9, (3, 5): 14, (3, 6): 18, (4, 4): 18}
-
-
-def ramsey_known(s: int, t: int) -> int | None:
-    """Classical two-color Ramsey values the bounds rely on; None if unknown here."""
-    if s > t:
-        s, t = t, s
-    if s == 1:
-        return 1
-    if s == 2:
-        return t
-    return _RAMSEY.get((s, t))
-
-
-def neighborhood_clique_bounds(spec: ArrowSpec) -> tuple[int, int] | None:
-    """Per-color caps on cl(G[N_i(v)]) that any free 2-coloring must obey.
-
-    A clique of size R(a_1-1, a_2) inside v's color-1 neighborhood forces a
-    monochromatic clique no matter how its edges end up colored (a color-1
-    edge closes an a_1-clique through v; otherwise the clique is a color-2
-    a_2-clique), and symmetrically for color 2.  Returns None when a needed
-    Ramsey value is missing from the registry; the search then simply runs
-    without this pruning.
-    """
-    if spec.r != 2:
-        raise ValueError("neighborhood bounds are defined for 2-color specs only")
-    a1, a2 = spec.sizes
-    r1 = ramsey_known(a1 - 1, a2)
-    r2 = ramsey_known(a1, a2 - 1)
-    if r1 is None or r2 is None:
-        return None
-    return r1 - 1, r2 - 1
 
 
 # --- the search --------------------------------------------------------------

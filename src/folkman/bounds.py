@@ -34,8 +34,9 @@ def build_q() -> Graph:
     than silently returning the wrong graph.
     """
     q = complement(circulant(13, {1, 5})).relabel("Q")
-    if len(max_clique(q)) != 4:
-        raise ConstructionError(f"Q gate: clique number {len(max_clique(q))} != 4")
+    clique_number = len(max_clique(q))
+    if clique_number != 4:
+        raise ConstructionError(f"Q gate: clique number {clique_number} != 4")
     if len(max_clique(complement(q))) != 2:
         raise ConstructionError("Q gate: independence number != 2")
     outcome = arrows_vertices(q, ArrowSpec((3, 4)))

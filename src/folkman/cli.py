@@ -48,10 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class CliError(Exception):
-    pass
-
-
 def resolve_graph(source: str) -> Graph:
     """`K<n>`, `C<n>` (n read by `decimal`; the source is one of these
     when an ASCII digit follows the letter), `@path` to a graph6 file, a
@@ -66,7 +62,7 @@ def resolve_graph(source: str) -> Graph:
         try:
             return graphs.parse_graph6(text).relabel(Path(source[1:]).stem)
         except graphs.Graph6Error as exc:
-            raise CliError(f"bad graph6 file {source[1:]}: {exc}")
+            raise ValueError(f"bad graph6 file {source[1:]}: {exc}")
     try:
         return graphs.parse_graph6(source)
     except graphs.Graph6Error as exc:
@@ -74,7 +70,7 @@ def resolve_graph(source: str) -> Graph:
     from .bounds import BUILTIN_GRAPHS
     if source in BUILTIN_GRAPHS:
         return BUILTIN_GRAPHS[source]()
-    raise CliError(f"unknown graph source {source!r}: {error}")
+    raise ValueError(f"unknown graph source {source!r}: {error}")
 
 
 def _budget_from(args) -> SearchBudget | None:
@@ -100,15 +96,15 @@ def cmd_construct(args) -> int:
     params = args.name[1:]
     if name == "circulant":
         if len(params) != 2:
-            raise CliError("usage: construct circulant <n> <d1,d2,...>")
+            raise ValueError("usage: construct circulant <n> <d1,d2,...>")
         g = circulant(decimal(params[0], "circulant n"),
                       [decimal(d, "circulant offset") for d in params[1].split(",")])
     elif name == "join":
         if len(params) != 2:
-            raise CliError("usage: construct join <graph> <graph>")
+            raise ValueError("usage: construct join <graph> <graph>")
         g = join(resolve_graph(params[0]), resolve_graph(params[1]))
     elif params:
-        raise CliError(f"construct {name} takes no parameters")
+        raise ValueError(f"construct {name} takes no parameters")
     else:
         g = resolve_graph(name)
     clique = max_clique(g)
@@ -189,8 +185,8 @@ def cmd_certify(args) -> int:
     budget = _budget_from(args)
     if args.evidence:
         if budget is not None:
-            raise CliError("--max-nodes and --max-seconds bound the search that "
-                           "certify runs without --evidence")
+            raise ValueError("--max-nodes and --max-seconds bound the search that "
+                             "certify runs without --evidence")
         import json
         evidence = json.loads(Path(args.evidence).read_text())
     else:
@@ -308,10 +304,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # The one place errors become exit codes.  ValueError covers bad input
-    # found by the package (graph, spec, CNF, certificate) and bad JSON.
+    # found by the package (graph, spec, CNF, certificate) or by a command
+    # (graph source, construct parameters, flags), and bad JSON.
     try:
         return args.fn(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

@@ -52,8 +52,6 @@ class Graph:
     def from_edges(n: int, edge_list, label: str = "") -> "Graph":
         adj = [0] * n
         for u, v in edge_list:
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             adj[u] |= 1 << v

@@ -11,8 +11,7 @@ from folkman.arrowing import (ArrowInstance, ArrowSpec, ColoringError,
                               EdgeColoring, SearchBudget, Verdict,
                               VertexColoring, VertexInstance, _search,
                               arrows_edges, arrows_vertices,
-                              decimal, is_free_edge_coloring,
-                              ramsey_known, neighborhood_clique_bounds)
+                              decimal, is_free_edge_coloring)
 from folkman.graphs import (Graph, _individualize, _refine, _target, _twin_classes,
                             automorphism_generators, check_automorphism, circulant,
                             complete, cycle, edges, join, mask_of)
@@ -856,31 +855,33 @@ def test_non_free_witness_raises(monkeypatch):
         arrows_vertices(complete(4), ArrowSpec((3, 3)))
 
 
-# --- ramsey registry and bounds ------------------------------------------------
+# --- neighborhood caps ----------------------------------------------------------
 
-def test_ramsey_known():
-    assert ramsey_known(3, 3) == 6
-    assert ramsey_known(3, 4) == 9
-    assert ramsey_known(4, 3) == 9
-    assert ramsey_known(3, 5) == 14
-    assert ramsey_known(2, 5) == 5
-    assert ramsey_known(5, 2) == 5
-    assert ramsey_known(1, 7) == 1
-    assert ramsey_known(4, 4) == 18
-    assert ramsey_known(3, 6) == ramsey_known(6, 3) == 18
-    assert ramsey_known(5, 5) is None  # R(5,5) is open
+# sha256 of the JSON list of [sizes, bounds] over every spec (a_1, a_2) with
+# 2 <= a_i <= 15, then (3,3,3), (2,3,4) and (3,), as the caps were computed
+# before they moved into `ArrowInstance.bounds`.
+CAPS_SHA256 = "173f503ea7208874aaa889b5c4a994aab298defa1d452448fe9e755aea72aa13"
 
 
-def test_neighborhood_clique_bounds():
-    assert neighborhood_clique_bounds(ArrowSpec((3, 5))) == (4, 8)
-    assert neighborhood_clique_bounds(ArrowSpec((3, 3))) == (2, 2)
-    assert neighborhood_clique_bounds(ArrowSpec((3, 4))) == (3, 5)
-    assert neighborhood_clique_bounds(ArrowSpec((4, 4))) == (8, 8)
-    assert neighborhood_clique_bounds(ArrowSpec((4, 5))) == (13, 17)
-    assert neighborhood_clique_bounds(ArrowSpec((3, 7))) == (6, 17)
-    assert neighborhood_clique_bounds(ArrowSpec((5, 5))) is None  # needs R(4,5)
-    with pytest.raises(ValueError):
-        neighborhood_clique_bounds(ArrowSpec((3, 3, 3)))
+def test_neighborhood_caps():
+    # bounds = (R(a_1-1, a_2) - 1, R(a_1, a_2-1) - 1) for 2-color specs.
+    def caps(*sizes):
+        return ArrowInstance(complete(3), ArrowSpec(sizes)).bounds
+
+    assert caps(3, 5) == (4, 8)  # R(2,5) = 5, R(3,4) = 9: the theorem's caps
+    assert caps(3, 3) == (2, 2)
+    assert caps(3, 4) == (3, 5)
+    assert caps(4, 4) == (8, 8)
+    assert caps(4, 5) == (13, 17)
+    assert caps(3, 7) == (6, 17)
+    assert caps(5, 3) == (8, 4)  # R(4,3) = R(3,4) = 9
+    assert caps(7, 3) == (17, 6)  # R(6,3) = R(3,6) = 18
+    assert caps(2, 7) == (0, 5)  # R(1,7) = 1
+    assert caps(5, 5) is None  # needs R(4,5)
+    assert caps(3, 3, 3) is None
+    specs = [(a, b) for a in range(2, 16) for b in range(2, 16)] + [(3, 3, 3), (2, 3, 4), (3,)]
+    text = json.dumps([[list(s), caps(*s)] for s in specs])
+    assert hashlib.sha256(text.encode()).hexdigest() == CAPS_SHA256
 
 
 def _same_color_neighbors(g, coloring, v, color):
@@ -903,8 +904,8 @@ def test_bounds_hold_on_k5_pentagon():
 
 def test_bounds_hold_on_free_colorings_of_k8():
     spec = ArrowSpec((3, 4))
-    b1, b2 = neighborhood_clique_bounds(spec)
     g = complete(8)
+    b1, b2 = ArrowInstance(g, spec).bounds
     out = arrows_edges(g, spec)
     assert out.verdict is Verdict.FREE_COLORING
     for v in range(8):

@@ -5,12 +5,12 @@ import pytest
 import folkman
 from folkman.arrowing import (ArrowSpec, SearchBudget, Verdict, arrows_edges,
                               arrows_vertices)
-from folkman.bounds import (CATALOG, CertificateError, bound_certificate,
-                            build_lin_graph, build_q, build_theorem_graph,
-                            check_bound_instance)
+from folkman.bounds import (CATALOG, CertificateError, ConstructionError,
+                            bound_certificate, build_lin_graph, build_q,
+                            build_theorem_graph, check_bound_instance)
 from folkman.cnf import dimacs_sha256, emit_dimacs, encode_edge_arrowing
-from folkman.graphs import (complement, complete, cycle, emit_graph6, max_clique,
-                            parse_graph6)
+from folkman.graphs import (circulant, complement, complete, cycle, emit_graph6,
+                            max_clique, parse_graph6)
 
 THEOREM_SHA256 = "1db983c4daf1e0fb098631f12433725bbed4c16f61082756f81ea39502e98325"
 
@@ -21,6 +21,22 @@ def test_build_q_gate():
     assert len(max_clique(q)) == 4
     assert len(max_clique(complement(q))) == 2
     assert arrows_vertices(q, ArrowSpec((3, 4))).verdict is Verdict.ARROWS
+
+
+@pytest.mark.parametrize("target, replacement, message", [
+    # complement(C13) has clique number 6
+    ("circulant", lambda n, offsets: circulant(13, {1}), "Q gate: clique number 6 != 4"),
+    ("circulant", lambda n, offsets: circulant(13, {1, 2}),
+     "Q gate: independence number != 2"),
+    # Q does not vertex-arrow (4,4), so this search finds a free coloring
+    ("arrows_vertices", lambda g, spec: arrows_vertices(g, ArrowSpec((4, 4))),
+     r"Q gate: Q does not vertex-arrow \(3,4\)"),
+], ids=["clique", "independence", "arrowing"])
+def test_build_q_gate_refuses(monkeypatch, target, replacement, message):
+    # Each of the gate's three checks refuses a graph that fails it.
+    monkeypatch.setattr(f"folkman.bounds.{target}", replacement)
+    with pytest.raises(ConstructionError, match=message):
+        build_q()
 
 
 def test_build_q_deterministic():

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from folkman.arrowing import ArrowInstance
+from folkman.arrowing import ArrowInstance, ArrowSpec, arrows_edges
 from folkman.cli import main
 from folkman.graphs import complete, cycle, edges, emit_graph6, join, parse_graph6
 from oracles import brute_arrows_edges_2color, relabelled
@@ -386,6 +386,9 @@ def test_progress_refuses_negative_interval(capsys):
         assert err.startswith("usage: folkman") and "progress nodes" not in err
         assert err.rstrip().splitlines()[-1] == (
             "error: argument --progress: invalid decimal value: '-1'")
+    # The search refuses it too, for callers that do not come through argparse.
+    with pytest.raises(ValueError, match="progress interval must be >= 0, got -1"):
+        arrows_edges(complete(6), ArrowSpec((3, 3)), progress_every=-1)
 
 
 def test_certify_refuses_vertex_search_record(capsys, tmp_path):

@@ -50,6 +50,7 @@ def test_emit_header_and_roundtrip():
     assert "p cnf 3 2" in text.splitlines()
     back = parse_dimacs(text)
     assert (back.num_vars, back.clauses) == (f.num_vars, f.clauses)
+    assert parse_dimacs("p cnf 1 1\n\n1 0\n").clauses == [[1]]  # a blank line is skipped
 
 
 def test_emit_byte_stable():

@@ -103,7 +103,7 @@ def test_graph_validation():
         Graph(1, (1,))  # loop
     with pytest.raises(GraphError):
         Graph(2, (4, 0))  # out of range
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="loop at vertex 0"):
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(GraphError, match=r"edge \(0,3\) out of range for n=3"):
         Graph.from_edges(3, [(0, 3)])

@@ -142,14 +142,14 @@ def test_free_coloring_check_reads_no_search_data():
     assert read == [], f"ArrowInstance.violation reads search-only data: {read}"
 
 
-def call_scopes(tree, match) -> list[str]:
-    """The function holding each call in `tree` that `match` accepts, as a
+def scopes(tree, match) -> list[str]:
+    """The function holding each node in `tree` that `match` accepts, as a
     dotted path of its enclosing classes and functions."""
     parents = {child: node for node in ast.walk(tree)
                for child in ast.iter_child_nodes(node)}
     out = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and match(node):
+        if match(node):
             scope, up = [], node
             while up in parents:
                 up = parents[up]
@@ -161,8 +161,8 @@ def call_scopes(tree, match) -> list[str]:
 
 def callers(tree, name: str) -> list[str]:
     """The function holding each call to `name` in `tree`."""
-    return call_scopes(tree, lambda call: name in (getattr(call.func, "id", None),
-                                                   getattr(call.func, "attr", None)))
+    return scopes(tree, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_every_automorphism_is_checked_where_the_search_takes_it():
@@ -176,9 +176,11 @@ def test_every_automorphism_is_checked_where_the_search_takes_it():
 
 
 def converts_with_int(call) -> bool:
-    """Does `call` call `int` or hand it on as a converter (`map(int, ...)`,
-    argparse's `type=int`)?  `isinstance(x, int)` is a type test."""
-    if getattr(call.func, "id", None) in ("isinstance", "issubclass"):
+    """Is `call` a call that calls `int` or hands it on as a converter
+    (`map(int, ...)`, argparse's `type=int`)?  `isinstance(x, int)` is a
+    type test."""
+    if (not isinstance(call, ast.Call)
+            or getattr(call.func, "id", None) in ("isinstance", "issubclass")):
         return False
     used = [call.func, *call.args, *(k.value for k in call.keywords)]
     return any(isinstance(u, ast.Name) and u.id == "int" for u in used)
@@ -188,8 +190,26 @@ def test_text_becomes_an_int_in_one_function():
     # `int()` also reads `+3`, `1_0` and non-ASCII digits, so text becomes
     # an int only in `arrowing.decimal`.  `int` in annotations is no call.
     found = [(path.name, scope) for path in MODULES
-             for scope in call_scopes(ast.parse(path.read_text()), converts_with_int)]
+             for scope in scopes(ast.parse(path.read_text()), converts_with_int)]
     assert found == [("arrowing.py", "decimal")], found
+
+
+def reads_ramsey(node) -> bool:
+    """Does `node` read `_RAMSEY`, by name, as an attribute or by import?"""
+    return (isinstance(node, ast.Name) and node.id == "_RAMSEY"
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == "_RAMSEY"
+            or isinstance(node, ast.ImportFrom)
+            and any(alias.name == "_RAMSEY" for alias in node.names))
+
+
+def test_ramsey_table_is_read_only_by_the_caps():
+    # The neighborhood caps, the only prunes that use Ramsey numbers, are
+    # decided in `ArrowInstance.bounds` alone, so a refutation log that must
+    # tell a RUP cap from one that is not changes them in one place.
+    found = [(path.name, scope) for path in MODULES
+             for scope in scopes(ast.parse(path.read_text()), reads_ramsey)]
+    assert found == [("arrowing.py", "ArrowInstance.bounds")], found
 
 
 def test_oracles_import_only_graph_from_package():
