@@ -863,24 +863,39 @@ def test_non_free_witness_raises(monkeypatch):
 CAPS_SHA256 = "173f503ea7208874aaa889b5c4a994aab298defa1d452448fe9e755aea72aa13"
 
 
-def test_neighborhood_caps():
+def _caps(*sizes):
     # bounds = (R(a_1-1, a_2) - 1, R(a_1, a_2-1) - 1) for 2-color specs.
-    def caps(*sizes):
-        return ArrowInstance(complete(3), ArrowSpec(sizes)).bounds
+    return ArrowInstance(complete(3), ArrowSpec(sizes)).bounds
 
-    assert caps(3, 5) == (4, 8)  # R(2,5) = 5, R(3,4) = 9: the theorem's caps
-    assert caps(3, 3) == (2, 2)
-    assert caps(3, 4) == (3, 5)
-    assert caps(4, 4) == (8, 8)
-    assert caps(4, 5) == (13, 17)
-    assert caps(3, 7) == (6, 17)
-    assert caps(5, 3) == (8, 4)  # R(4,3) = R(3,4) = 9
-    assert caps(7, 3) == (17, 6)  # R(6,3) = R(3,6) = 18
-    assert caps(2, 7) == (0, 5)  # R(1,7) = 1
-    assert caps(5, 5) is None  # needs R(4,5)
-    assert caps(3, 3, 3) is None
+
+def test_ramsey_known():
+    # each Ramsey value the caps read, through the spec that reads it
+    assert _caps(4, 3)[0] == 6 - 1  # R(3,3) = 6
+    assert _caps(3, 5)[1] == 9 - 1  # R(3,4) = 9
+    assert _caps(5, 3)[0] == 9 - 1  # R(4,3) = R(3,4)
+    assert _caps(3, 6)[1] == 14 - 1  # R(3,5) = 14
+    assert _caps(3, 5)[0] == 5 - 1  # R(2,5) = 5
+    assert _caps(5, 3)[1] == 5 - 1  # R(5,2) = 5
+    assert _caps(2, 7)[0] == 1 - 1  # R(1,7) = 1
+    assert _caps(4, 5)[1] == 18 - 1  # R(4,4) = 18
+    assert _caps(3, 7)[1] == _caps(7, 3)[0] == 18 - 1  # R(3,6) = R(6,3) = 18
+    assert _caps(6, 5) is None  # R(5,5) is open
+
+
+def test_neighborhood_clique_bounds():
+    assert _caps(3, 5) == (4, 8)  # R(2,5) = 5, R(3,4) = 9: the theorem's caps
+    assert _caps(3, 3) == (2, 2)
+    assert _caps(3, 4) == (3, 5)
+    assert _caps(4, 4) == (8, 8)
+    assert _caps(4, 5) == (13, 17)
+    assert _caps(3, 7) == (6, 17)
+    assert _caps(5, 3) == (8, 4)
+    assert _caps(7, 3) == (17, 6)
+    assert _caps(2, 7) == (0, 5)
+    assert _caps(5, 5) is None  # needs R(4,5)
+    assert _caps(3, 3, 3) is None
     specs = [(a, b) for a in range(2, 16) for b in range(2, 16)] + [(3, 3, 3), (2, 3, 4), (3,)]
-    text = json.dumps([[list(s), caps(*s)] for s in specs])
+    text = json.dumps([[list(s), _caps(*s)] for s in specs])
     assert hashlib.sha256(text.encode()).hexdigest() == CAPS_SHA256
 
 
