@@ -25,8 +25,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .graphs import (Graph, automorphism_generators, check_automorphism,
-                     edges, emit_graph6, enumerate_cliques, has_clique, mask_of,
-                     max_clique)
+                     edges, emit_graph6, enumerate_cliques, has_clique, mask_of)
 
 
 class ColoringError(ValueError):
@@ -297,13 +296,14 @@ class ArrowInstance:
 
     @cached_property
     def order(self) -> list[int]:
-        """Static search order: edges inside the most maximum cliques first,
-        ties in lexicographic order, so monochromatic-clique constraints
-        complete as early as possible."""
+        """Static search order: edges in the most forbidden cliques first,
+        counted over `cliques` of every color, ties in lexicographic order,
+        so monochromatic-clique constraints complete as early as possible."""
         count = [0] * len(self.items)
-        for ids in self._ids(enumerate_cliques(self.g, len(max_clique(self.g)))):
-            for e in ids:
-                count[e] += 1
+        for constraints in self.cliques:
+            for ids in constraints:
+                for e in ids:
+                    count[e] += 1
         return sorted(range(len(self.items)), key=lambda e: -count[e])
 
     @cached_property

@@ -25,15 +25,6 @@ class CnfFormula:
         self.clauses = clauses
         self.comments = [] if comments is None else comments
 
-    def validate(self):
-        for cl in self.clauses:
-            if not cl:
-                raise CnfError("empty clause")
-            for lit in cl:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise CnfError(f"literal {lit} out of range for "
-                                   f"{self.num_vars} variables")
-
 
 def encode_edge_arrowing(g: Graph, spec: ArrowSpec) -> CnfFormula:
     """One clause per forbidden clique: all-blue forbidden for size a_1
@@ -62,18 +53,22 @@ _LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 def emit_dimacs(f: CnfFormula) -> str:
     """DIMACS text: one `c` line per comment, the problem line, one line
     per clause.  A comment that holds a line break would spill onto a line
-    `parse_dimacs` reads as a clause, so it is refused."""
-    f.validate()
+    `parse_dimacs` reads as a clause, so it is refused.  The clauses are
+    not checked in a pass of their own: a literal out of range (0, or past
+    `num_vars` either way) has no entry in the literal table, and that is
+    refused as it is written."""
     for c in f.comments:
         if not _LINE_BREAKS.isdisjoint(c):
             raise CnfError(f"comment {c!r} holds a line break")
-    # Each literal's text, formatted once: lit[x] for x in 1..num_vars,
-    # and lit[-x] for -x, by negative indexing from the end.
+    # Each literal's text, formatted once, keyed by the literal.
     nv = f.num_vars
-    lit = [str(x) for x in range(nv + 1)] + [str(x) for x in range(-nv, 0)]
+    lit = {x: str(x) for x in range(-nv, nv + 1) if x}
     lines = [f"c {c}" for c in f.comments]
     lines.append(f"p cnf {nv} {len(f.clauses)}")
-    lines += [" ".join(map(lit.__getitem__, cl)) + " 0" for cl in f.clauses]
+    try:
+        lines += [" ".join(map(lit.__getitem__, cl)) + " 0" for cl in f.clauses]
+    except KeyError as bad:
+        raise CnfError(f"literal {bad.args[0]} out of range for {nv} variables") from None
     return "\n".join(lines) + "\n"
 
 
@@ -89,10 +84,11 @@ def _ints(tokens, number: int, line: str) -> list[int]:
 
 
 def parse_dimacs(text: str) -> CnfFormula:
-    """The formula DIMACS text holds.  A missing or second problem line, a
-    negative count in it, a token that is not an integer, a clause before
-    the problem line or left without its 0, a clause count other than the
-    header's and a literal out of range are refused."""
+    """The formula DIMACS text holds, checked in the one pass that reads
+    it.  A missing or second problem line, a negative count in it, a token
+    that is not an integer, a clause before the problem line, empty or left
+    without its 0, a literal out of range and a clause count other than the
+    header's are refused."""
     comments: list[str] = []
     clauses: list[list[int]] = []
     num_vars = num_clauses = None
@@ -118,19 +114,22 @@ def parse_dimacs(text: str) -> CnfFormula:
             raise CnfError("clause before problem line")
         for lit in _ints(line.split(), number, line):
             if lit == 0:
+                if not pending:
+                    raise CnfError(f"line {number}: empty clause")
                 clauses.append(pending)
                 pending = []
-            else:
+            elif abs(lit) <= num_vars:
                 pending.append(lit)
+            else:
+                raise CnfError(f"line {number}: literal {lit} out of range for "
+                               f"{num_vars} variables")
     if pending:
         raise CnfError("trailing clause not terminated by 0")
     if num_vars is None:
         raise CnfError("missing problem line")
     if len(clauses) != num_clauses:
         raise CnfError(f"header promises {num_clauses} clauses, found {len(clauses)}")
-    f = CnfFormula(num_vars, clauses, comments)
-    f.validate()
-    return f
+    return CnfFormula(num_vars, clauses, comments)
 
 
 def parse_model(text: str) -> list[int]:

@@ -542,8 +542,9 @@ def test_arrows_edges_search_pins():
     digest = hashlib.sha256(json.dumps(out.witness.to_json_obj()).encode())
     assert digest.hexdigest() == (
         "0cfb1e2e88f2a4f386dd39cc8cb552cbb7dcf62e90f7c6cb03c9a4d8f7b82ad3")
-    # In K_n every edge lies in the one maximum clique, so the order is
-    # lexicographic there; these joins pin the max-clique edge order.
+    # In K_n every edge lies in equally many forbidden cliques, so the
+    # order is lexicographic there; these joins pin the order by how many
+    # of the instance's forbidden cliques hold each edge.
     c5c5 = join(cycle(5), cycle(5))
     out = arrows_edges(c5c5, ArrowSpec((3, 3)))
     assert out.verdict is Verdict.FREE_COLORING
@@ -573,14 +574,14 @@ def test_arrows_edges_search_pins():
 # move them, such as a new forcing order (ROADMAP item 5), and give the
 # reason in CHANGES.md.
 SWEEP_PINS = {
-    ("edges", (3,)): (586, 0, {"clique": 132}, 887),
-    ("edges", (2, 3)): (586, 0, {"neighborhood": 132}, 887),
-    ("edges", (3, 3)): (1350, 449, {"neighborhood": 113, "symmetry": 8}, 887),
-    ("edges", (3, 4)): (1191, 535, {"neighborhood": 26}, 887),
-    ("edges", (2, 3, 3)): (1362, 682, {"clique": 113, "symmetry": 16}, 887),
-    ("edges", (3, 3, 3)): (1631, 172, {"clique": 28, "symmetry": 4}, 887),
-    ("edges", (2, 2, 3, 3)): (1362, 682, {"clique": 113, "symmetry": 16}, 887),
-    ("edges", (3, 3, 3, 3)): (1678, 37, {"clique": 5}, 887),
+    ("edges", (3,)): (587, 0, {"clique": 132}, 887),
+    ("edges", (2, 3)): (587, 0, {"neighborhood": 132}, 887),
+    ("edges", (3, 3)): (1296, 482, {"neighborhood": 92, "symmetry": 8}, 887),
+    ("edges", (3, 4)): (1178, 545, {"neighborhood": 23}, 887),
+    ("edges", (2, 3, 3)): (1308, 673, {"clique": 92, "symmetry": 16}, 887),
+    ("edges", (3, 3, 3)): (1646, 148, {"clique": 25, "symmetry": 4}, 887),
+    ("edges", (2, 2, 3, 3)): (1308, 673, {"clique": 92, "symmetry": 16}, 887),
+    ("edges", (3, 3, 3, 3)): (1681, 34, {"clique": 5}, 887),
     ("vertices", (2,)): (263, 0, {"clique": 206}, 965),
     ("vertices", (3,)): (727, 0, {"clique": 132}, 965),
     ("vertices", (2, 3)): (636, 1298, {"clique": 205}, 965),
@@ -590,8 +591,11 @@ SWEEP_PINS = {
     ("vertices", (2, 2, 2, 3)): (1313, 266, {"clique": 60, "symmetry": 60}, 965),
     ("vertices", (2, 2, 2, 2)): (1260, 437, {"clique": 120}, 965),
 }
+# sha256 over (search, sizes, verdict) of every case, in order.  A search
+# order or a cut may move the counts and witnesses, never a verdict.
+SWEEP_VERDICT_SHA256 = "11fa2c9bae7c42408eac72216d17507dfe74ad3f4120ac29f2e053f03ba97763"
 # sha256 over (search, sizes, verdict, witness colors) of every case, in order.
-SWEEP_WITNESS_SHA256 = "9da9c6d1cf4452860383aba8e6cce6b568a4d0cc9196f38607b662d5119315bb"
+SWEEP_WITNESS_SHA256 = "9076db5403005d1f810b7480a7da2d5f4f68e927afe30eee45ab8092b5ac6119"
 
 
 def sweep_graphs() -> list[Graph]:
@@ -606,7 +610,7 @@ def test_sweep_counts_are_pinned():
     # Both searches, 1 to 4 colors, random and symmetric graphs: every
     # count and witness of the search loop, summed.
     graphs = sweep_graphs()
-    digest = hashlib.sha256()
+    verdicts, digest = hashlib.sha256(), hashlib.sha256()
     got = {}
     for search, sizes in SWEEP_PINS:
         run = arrows_edges if search == "edges" else arrows_vertices
@@ -620,8 +624,10 @@ def test_sweep_counts_are_pinned():
             for cause, count in out.stats.prunings.items():
                 prunings[cause] = prunings.get(cause, 0) + count
             colors = None if out.witness is None else out.witness.colors
+            verdicts.update(repr((search, sizes, out.verdict.value)).encode())
             digest.update(repr((search, sizes, out.verdict.value, colors)).encode())
         got[search, sizes] = (nodes, propagations, prunings, generators)
+    assert verdicts.hexdigest() == SWEEP_VERDICT_SHA256
     assert got == SWEEP_PINS
     assert digest.hexdigest() == SWEEP_WITNESS_SHA256
 
@@ -804,6 +810,21 @@ def test_only_the_search_builds_clique_masks(monkeypatch):
     # Once per triangle of K5: the two colors' sizes are equal, so they
     # share one clique list and its masks.
     assert len(calls) == 10
+
+
+def test_order_reads_the_instance_cliques(monkeypatch):
+    # The edge order counts the forbidden cliques the instance already
+    # holds: CP(4), K8 less a perfect matching, has 16 maximum 4-cliques,
+    # and building its (3,3) order enumerates the triangles alone.
+    cp4 = Graph.from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)
+                               if v != u + 4])
+    sizes = []
+    real = arrowing.enumerate_cliques
+    monkeypatch.setattr(arrowing, "enumerate_cliques",
+                        lambda g, k: sizes.append(k) or real(g, k))
+    inst = ArrowInstance(cp4, ArrowSpec((3, 3)))
+    assert sorted(inst.order) == list(range(24))
+    assert sizes == [3]
 
 
 def test_clique_item_ids_name_its_edges():

@@ -213,7 +213,13 @@ def test_signed_tokens():
 
 
 def test_formula_validation():
-    with pytest.raises(CnfError):
-        CnfFormula(2, [[1], []]).validate()
-    with pytest.raises(CnfError):
-        CnfFormula(2, [[3]]).validate()
+    # `parse_dimacs` checks each clause as it reads it, and names its line.
+    with pytest.raises(CnfError, match="line 3: empty clause"):
+        parse_dimacs("p cnf 2 2\n1 0\n0\n")
+    with pytest.raises(CnfError, match="line 2: literal -3 out of range for 2"):
+        parse_dimacs("p cnf 2 1\n1 -3 0\n")
+    # `emit_dimacs` writes each literal from a table of the valid ones; a
+    # list indexed by the literal would print [3] as "-2" and [0, 1] as "0 1".
+    for clauses in ([[3]], [[0, 1]], [[-3]], [[1], [2, -3]]):
+        with pytest.raises(CnfError, match="out of range for 2 variables"):
+            emit_dimacs(CnfFormula(2, clauses))

@@ -175,6 +175,16 @@ def test_every_automorphism_is_checked_where_the_search_takes_it():
     assert "ArrowInstance.symmetries" in callers(trees["arrowing.py"], "check_automorphism")
 
 
+def test_search_order_reads_the_instance_cliques():
+    # The instance enumerates its forbidden cliques once, when it is built,
+    # and the search index, `order` included, reads those; no other part of
+    # arrowing.py enumerates cliques or asks for the clique number.
+    tree = ast.parse((SRC / "arrowing.py").read_text())
+    assert callers(tree, "enumerate_cliques") == ["ArrowInstance.__init__"]
+    read = [(line, name) for line, name in names_read(tree) if name == "max_clique"]
+    assert read == [], f"arrowing.py reads max_clique: {read}"
+
+
 def converts_with_int(call) -> bool:
     """Is `call` a call that calls `int` or hands it on as a converter
     (`map(int, ...)`, argparse's `type=int`)?  `isinstance(x, int)` is a
