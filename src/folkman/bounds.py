@@ -61,6 +61,7 @@ def build_lin_graph() -> Graph:
 
 BUILTIN_GRAPHS = {
     "q": build_q,
+    "Q": build_q,  # Q's label
     "theorem-graph": build_theorem_graph,
     "lin-graph": build_lin_graph,
 }
@@ -162,7 +163,7 @@ def _evidence_record(g: Graph, spec: ArrowSpec, evidence) -> dict:
             f"solver record's dimacs_sha256 {evidence.get('dimacs_sha256')!r} is "
             f"not {sha}, the sha256 of `folkman encode` for this graph and spec, "
             f"whose DIMACS names the graph in `c {formula.comments[0]}`; encode "
-            "and certify need the same graph source (a builtin name or graph6)")
+            "and certify need the same graph source or label (graph6 has none)")
     # UNSAT is still the solver's word: no proof of it is checked here.
     return {**evidence, "kind": "solver-unsat", "checked": False,
             "dimacs_sha256": sha}

@@ -2,11 +2,11 @@
 
 Exit codes for search commands: 0 = Arrows, 1 = FreeColoring (witness
 written), 2 = BudgetExhausted.  Every command exits 3 on a usage or input
-error (bad arguments, graph, spec, parameters, evidence or files; the
-message goes to standard error as `error: ...`) and 4 on an internal error
-(the traceback goes to standard error), so a failure never reads as a
-verdict.  Standard output is machine-parseable key/value lines; progress
-goes to standard error.
+error (bad arguments, graph, spec, evidence or files; the message goes to
+standard error as `error: ...`) and 4 on an internal error (the traceback
+goes to standard error), so a failure never reads as a verdict.  Standard
+output is machine-parseable key/value lines; progress goes to standard
+error.
 
 `certify` prints a bound only from evidence it checks itself: with no
 `--evidence` it runs the edge search on the graph and spec, within
@@ -22,6 +22,7 @@ Every process pays for the modules it imports, so `cnf`, `bounds` and
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -49,20 +50,42 @@ class _Parser(argparse.ArgumentParser):
 
 
 def resolve_graph(source: str) -> Graph:
-    """`K<n>`, `C<n>` (n read by `decimal`; the source is one of these
-    when an ASCII digit follows the letter), `@path` to a graph6 file, a
-    literal graph6 string, or a name in `bounds.BUILTIN_GRAPHS` (`q`,
-    `theorem-graph`, `lin-graph`; none of them is graph6)."""
-    kind, first = source[:1], source[1:2]
-    if kind in ("K", "C") and first.isascii() and first.isdigit():
-        n = decimal(source[1:], f"graph source {kind}<n>")
-        return complete(n) if kind == "K" else cycle(n)
+    """The graph a command-line source names, read as the package's labels
+    are written, trying in order:
+
+    - `@path` to a graph6 file, the rest of the source taken whole as the
+      path;
+    - `A+B+...`, split at each `+` outside parentheses: each part resolved
+      here, joined left to right;
+    - `C<n>(<d>,...)`, the circulant on n vertices with those offsets;
+    - `K<n>` or `C<n>`, when an ASCII digit follows the letter;
+    - a literal graph6 string;
+    - a name in `bounds.BUILTIN_GRAPHS` (`q` or `Q`, `theorem-graph`,
+      `lin-graph`).
+
+    Numbers are read by `decimal`.  No graph6 string or builtin name holds
+    `+`, `(`, `)` or `,`.  So every label a constructor writes, such as
+    `K8+Q` or `C13(1,5)+K2`, reads back as its graph with that label."""
     if source.startswith("@"):
         text = Path(source[1:]).read_text()
         try:
             return graphs.parse_graph6(text).relabel(Path(source[1:]).stem)
         except graphs.Graph6Error as exc:
             raise ValueError(f"bad graph6 file {source[1:]}: {exc}")
+    first, *rest = re.split(r"\+(?![^(]*\))", source)
+    if rest:
+        g = resolve_graph(first)
+        for part in rest:
+            g = join(g, resolve_graph(part))
+        return g
+    kind, digit = source[:1], source[1:2]
+    if kind == "C" and source.endswith(")") and "(" in source:
+        n, _, offsets = source[1:-1].partition("(")
+        return circulant(decimal(n, "circulant n"),
+                         [decimal(d, "circulant offset") for d in offsets.split(",")])
+    if kind in ("K", "C") and digit.isascii() and digit.isdigit():
+        n = decimal(source[1:], f"graph source {kind}<n>")
+        return complete(n) if kind == "K" else cycle(n)
     try:
         return graphs.parse_graph6(source)
     except graphs.Graph6Error as exc:
@@ -92,21 +115,7 @@ def _witness_obj(g: Graph, spec: ArrowSpec, witness) -> dict:
 
 def cmd_construct(args) -> int:
     import json
-    name = args.name[0]
-    params = args.name[1:]
-    if name == "circulant":
-        if len(params) != 2:
-            raise ValueError("usage: construct circulant <n> <d1,d2,...>")
-        g = circulant(decimal(params[0], "circulant n"),
-                      [decimal(d, "circulant offset") for d in params[1].split(",")])
-    elif name == "join":
-        if len(params) != 2:
-            raise ValueError("usage: construct join <graph> <graph>")
-        g = join(resolve_graph(params[0]), resolve_graph(params[1]))
-    elif params:
-        raise ValueError(f"construct {name} takes no parameters")
-    else:
-        g = resolve_graph(name)
+    g = resolve_graph(args.graph)
     clique = max_clique(g)
     indep = max_clique(graphs.complement(g))
     print(f"graph6 {emit_graph6(g)}")
@@ -256,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
                   description="Ramsey arrowing and Folkman bound verification")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build a named graph, print invariants")
-    p.add_argument("name", nargs="+")
+    p = sub.add_parser("construct", help="build a graph from its source, print invariants")
+    p.add_argument("graph")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("arrows", help="decide vertex/edge arrowing by search")
@@ -305,7 +314,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # The one place errors become exit codes.  ValueError covers bad input
     # found by the package (graph, spec, CNF, certificate) or by a command
-    # (graph source, construct parameters, flags), and bad JSON.
+    # (graph source, flags), and bad JSON.
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

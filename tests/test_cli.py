@@ -6,7 +6,7 @@ import re
 import pytest
 
 from folkman.arrowing import ArrowInstance, ArrowSpec, arrows_edges
-from folkman.cli import main
+from folkman.cli import main, resolve_graph
 from folkman.graphs import complete, cycle, edges, emit_graph6, join, parse_graph6
 from oracles import brute_arrows_edges_2color, relabelled
 
@@ -45,10 +45,26 @@ def test_construct_theorem_graph(capsys):
 def test_construct_k8_and_circulant_and_join(capsys):
     code, out, _ = run(capsys, "construct", "K8")
     assert code == 0 and out_map(out)["clique_number"] == "8"
-    code, out, _ = run(capsys, "construct", "circulant", "13", "1,5")
+    code, out, _ = run(capsys, "construct", "C13(1,5)")
     assert code == 0 and out_map(out)["edges"] == "26"
-    code, out, _ = run(capsys, "construct", "join", "K8", "q")
+    assert out_map(out)["label"] == "C13(1,5)"
+    code, out, _ = run(capsys, "construct", "K8+q")
     assert code == 0 and out_map(out)["n"] == "21"
+    assert out_map(out)["label"] == "K8+Q"
+
+
+LABELLED_SOURCES = ["K1", "K8", "C5", "C13(1,5)", "C13(5,1)+K2", "q", "Q",
+                    "theorem-graph", "lin-graph", "K8+q", "K3+C5+C5", "K11+C5",
+                    "K1+C5+C5+C5"]
+
+
+@pytest.mark.parametrize("source", LABELLED_SOURCES)
+def test_graph_labels_read_back_as_their_graph(source):
+    # resolve_graph reads the grammar the constructors write, so a label
+    # the package prints names the same graph, with the same label.
+    g = resolve_graph(source)
+    again = resolve_graph(g.label)
+    assert (again, again.label) == (g, g.label)
 
 
 def test_construct_witnesses_are_pinned(capsys):
@@ -67,9 +83,9 @@ def test_construct_witnesses_are_pinned(capsys):
 
 def test_builtin_names_are_not_graph6():
     # resolve_graph tries graph6 before the builtin names, so no name may
-    # also read as a graph6 string.
+    # also read as a graph6 string; nor may a label the constructors write.
     from folkman.bounds import BUILTIN_GRAPHS
-    for name in BUILTIN_GRAPHS:
+    for name in [*BUILTIN_GRAPHS, "Q", "K8+Q", "K8+C5+C5", "C13(1,5)"]:
         with pytest.raises(ValueError):
             parse_graph6(name)
 
@@ -195,9 +211,16 @@ def test_relabelled_k3_c5_c5_graph6():
      "d7a04ce27b16e1d2ebb64b4d4160faa6415a8ae949d5872c85b0de6471eae287"),
     (RELABELLED_K3_C5_C5, "68 446",
      "5ae7b14591e547651c5b68227b1e66c8f74f9b607de2f9763395903d00c6cd93"),
-], ids=["lin-graph", "relabelled-K3+C5+C5"])
+    ("K8+C5+C5", "143 4982",
+     "d7a04ce27b16e1d2ebb64b4d4160faa6415a8ae949d5872c85b0de6471eae287"),
+    ("K8+q", "184 7288",
+     "1db983c4daf1e0fb098631f12433725bbed4c16f61082756f81ea39502e98325"),
+], ids=["lin-graph", "relabelled-K3+C5+C5", "K8+C5+C5", "K8+q"])
 def test_encode_dimacs_pins(capsys, tmp_path, graph, header, sha):
-    # DIMACS bytes beyond the theorem graph's pin in test_cnf.py.
+    # DIMACS bytes beyond the theorem graph's pin in test_cnf.py.  The
+    # DIMACS names the graph's label, so a source whose label is that of a
+    # builtin name (lin-graph is K8+C5+C5, theorem-graph K8+Q) encodes to
+    # the builtin's bytes.
     path = tmp_path / "out.cnf"
     code, out, _ = run(capsys, "encode", "--graph", graph, "--spec", "3,5", "-o", str(path))
     assert code == 0
@@ -286,6 +309,18 @@ def test_certify_pipeline_k6(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "not a solver UNSAT record" in err
+
+
+@pytest.mark.parametrize("graph, spec, q, bound", [
+    ("K3+C5", "3,3", "6", "F_e(3,3;6) <= 8"),  # Graham 1968
+    ("K4+C5+C5", "3,4", "9", "F_e(3,4;9) <= 14"),
+    ("K11+C5", "3,5", "14", "F_e(3,5;14) <= 16")])
+def test_certify_checks_catalog_upper_bounds(capsys, graph, spec, q, bound):
+    # Three catalog rows whose upper bound is attained by a join of K_k
+    # with copies of C5, each certified by a search certify runs itself.
+    code, out, _ = run(capsys, "certify", "--graph", graph, "--spec", spec, "--q", q)
+    assert code == 0
+    assert out_map(out)["bound"] == bound
 
 
 def test_certify_rejects_inconclusive_evidence(capsys, tmp_path):
@@ -442,34 +477,41 @@ def test_unwritable_output_exits_3(capsys, tmp_path):
 
 
 def test_construct_bad_parameters_exit_3(capsys, tmp_path):
-    code, out, err = run(capsys, "construct", "circulant", "13", "a,b")
+    code, out, err = run(capsys, "construct", "C13(a,b)")
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
-    code, _, err = run(capsys, "construct", "circulant", "x", "1,5")
+    code, _, err = run(capsys, "construct", "Cx(1,5)")
     assert code == 3 and err.startswith("error:")
     # Numbers are ASCII digits, as in a spec: int() alone would build
-    # C13(1,5) from `1_3 +1,\uff15` and K5 from `K\uff15`.
-    for argv, message in [
-            (["circulant", "1_3", "1,5"], "circulant n: '1_3' is not a decimal integer"),
-            (["circulant", "13", "+1,5"], "circulant offset: '+1' is not"),
-            (["circulant", "13", "1,\uff15"], "circulant offset: '\uff15' is not"),
-            (["K\uff15"], "unknown graph source 'K\uff15'")]:
+    # C13(1,5) from `C1_3(+1,\uff15)` and K5 from `K\uff15`.
+    for source, message in [
+            ("C1_3(1,5)", "circulant n: '1_3' is not a decimal integer"),
+            ("C13(+1,5)", "circulant offset: '+1' is not"),
+            ("C13(1,\uff15)", "circulant offset: '\uff15' is not"),
+            ("K\uff15", "unknown graph source 'K\uff15'")]:
+        code, out, err = run(capsys, "construct", source)
+        assert (code, out) == (3, ""), source
+        assert err.startswith("error: ") and message in err, source
+    # A join needs a source on each side of every `+`, a circulant at least
+    # one offset and its closing parenthesis.
+    for source in ["K8+", "+K8", "C13()", "C13(1,5"]:
+        code, out, err = run(capsys, "construct", source)
+        assert (code, out) == (3, ""), source
+        assert err.startswith("error: "), source
+    # `construct` takes one graph source, like every other command: the
+    # old parameter forms are refused by argparse.
+    for argv, extra in [(["join", "K8", "q"], "K8 q"),
+                        (["circulant", "13", "1,5"], "13 1,5")]:
         code, out, err = run(capsys, "construct", *argv)
         assert (code, out) == (3, ""), argv
-        assert err.startswith("error: ") and message in err, argv
-    for argv, message in [
-            (["circulant", "13"], "usage: construct circulant <n> <d1,d2,...>"),
-            (["join", "K3"], "usage: construct join <graph> <graph>"),
-            (["q", "extra"], "construct q takes no parameters")]:
-        code, out, err = run(capsys, "construct", *argv)
-        assert (code, out, err) == (3, "", f"error: {message}\n"), argv
+        assert f"error: unrecognized arguments: {extra}" in err, argv
     bad = tmp_path / "bad.g6"
     bad.write_text("~~??????\n")
     code, out, err = run(capsys, "construct", f"@{bad}")
     assert (code, out) == (3, "")
     assert err.startswith(f"error: bad graph6 file {bad}: ")
-    code, out, _ = run(capsys, "construct", "circulant", "13", " 1, 5")
+    code, out, _ = run(capsys, "construct", "C13( 1, 5)")
     assert code == 0 and out_map(out)["label"] == "C13(1,5)"
 
 

@@ -185,6 +185,14 @@ def test_search_order_reads_the_instance_cliques():
     assert read == [], f"arrowing.py reads max_clique: {read}"
 
 
+def test_graphs_are_built_from_text_in_one_function():
+    # Every command reads its graph through `cli.resolve_graph`, so one
+    # grammar names every graph and every label it writes reads back.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    for builder in ("join", "circulant", "complete", "cycle", "parse_graph6"):
+        assert set(callers(tree, builder)) == {"resolve_graph"}, builder
+
+
 def converts_with_int(call) -> bool:
     """Is `call` a call that calls `int` or hands it on as a converter
     (`map(int, ...)`, argparse's `type=int`)?  `isinstance(x, int)` is a

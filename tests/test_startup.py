@@ -35,7 +35,7 @@ def test_cli_import_loads_only_what_every_command_needs():
     assert loaded & NOT_AT_IMPORT == set()
 
 
-@pytest.mark.parametrize("graph", ["K6", "C5", "E~~w", "@k6.g6"])
+@pytest.mark.parametrize("graph", ["K6", "C5", "E~~w", "@k6.g6", "K3+C5", "C13(1,5)"])
 def test_arrows_loads_neither_cnf_nor_bounds(tmp_path, graph):
     (tmp_path / "k6.g6").write_text("E~~w\n")
     argv = ["arrows", "edges", "--graph", graph, "--spec", "3,3"]
@@ -47,8 +47,12 @@ def test_arrows_loads_neither_cnf_nor_bounds(tmp_path, graph):
 
 
 def test_builtin_graph_loads_bounds():
-    # The probe sees a module a command imports when it runs.
-    loaded = modules_loaded("from folkman.cli import main\n"
-                            "assert main(['construct', 'q']) == 0")
-    assert "folkman.bounds" in loaded
-    assert "folkman.cnf" not in loaded
+    # The probe sees a module a command imports when it runs.  Each part of
+    # a join is a source of its own, so `K8+q` reads `q` from bounds too.
+    for argv, code in [(["construct", "q"], 0),
+                       (["arrows", "edges", "--graph", "K8+q", "--spec", "3,5",
+                         "--max-nodes", "10"], 2)]:
+        loaded = modules_loaded("from folkman.cli import main\n"
+                                f"assert main({argv!r}) == {code}")
+        assert "folkman.bounds" in loaded, argv
+        assert "folkman.cnf" not in loaded, argv
