@@ -24,7 +24,7 @@ import time
 from functools import cached_property
 from itertools import combinations
 
-from .graphs import (Graph, automorphism_generators, check_automorphism,
+from .graphs import (Graph, automorphism_generators, bits_of, check_automorphism,
                      edges, emit_graph6, enumerate_cliques, has_clique, mask_of)
 
 
@@ -319,9 +319,10 @@ class ArrowInstance:
         An override (a cube: some items pinned) decides the colorings of
         those domains only.  It is sound with the lex-leader cut only if
         every automorphism in `symmetries` maps each item's domain onto its
-        image's, so the colorings searched are closed under them; otherwise
-        `symmetries` must be restricted to automorphisms that fix the pinned
-        items."""
+        image's, so the colorings searched are closed under them: dom[e] ==
+        dom[f] for each of its pairs (e, f), which list every item it
+        moves.  Otherwise `symmetries` must be restricted to the
+        automorphisms that pass this filter."""
         r = self.spec.r
         dom = [(1 << (r + 1)) - 2] * len(self.items)
         for c, constraints in enumerate(self.cliques, start=1):
@@ -363,23 +364,19 @@ class ArrowInstance:
         return tuple([rows[perm[u]][perm[v]] for u, v in self.items])
 
     @cached_property
-    def symmetries(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    def symmetries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per automorphism s of `automorphism_generators(g)`, each checked
         to be one, the items e that s moves, listed along `order`, as the
-        triples (bitmask of e and s(e), e, s(e)) that the search reads.
-        Automorphisms that move no item, or move them as an earlier one
-        does, are left out."""
-        bit = [1 << e for e in range(len(self.items))]
-        out = []
-        seen = set()
+        pairs (e, s(e)) that the search reads: s's action on the items,
+        identity elsewhere.  Automorphisms that move no item, or move them
+        as an earlier one does, are left out."""
+        out = {}  # keyed by the pairs, in first-seen order
         for perm in automorphism_generators(self.g):
             check_automorphism(self.g, perm)
             image = self._image(perm)
-            pairs = tuple([(bit[e] | bit[image[e]], e, image[e])
-                           for e in self.order if image[e] != e])
-            if pairs and image not in seen:
-                seen.add(image)
-                out.append(pairs)
+            pairs = tuple([(e, image[e]) for e in self.order if image[e] != e])
+            if pairs:
+                out[pairs] = None
         return tuple(out)
 
     def violation(self, colors) -> tuple[int, tuple[int, ...]] | None:
@@ -455,9 +452,11 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     propagation has already colored.  `dom[e]` is the bitmask of colors an
     uncolored item e may still take (bit c for color c); it starts as
     `inst.domains[e]`, and a decision on e tries the colors left in it,
-    ascending, and no other.  `col[e]` is the color e was given last, by a
-    decision or by propagation; it is never undone, so it is read only
-    while e is assigned.  Giving an item color c visits every forbidden
+    ascending, and no other.  `col[e]` is e's color while e is colored, by
+    a decision or by propagation, and 0 while it is not: a restore sets it
+    back to 0 for each item colored since the frame was made, so it alone
+    answers "is e colored?" in the symmetry test and in the descent to the
+    next decision.  Giving an item color c visits every forbidden
     color-c clique through it, reading the clique's whole item bitmask from
     `inst.by_edge` (the item itself has color c, so it is neither of
     another color nor uncolored): once all items of such a clique but one
@@ -468,11 +467,12 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     passes the neighborhood test when its cliques are visited.  Propagation
     only cuts subtrees that hold no free coloring.
 
-    After propagation succeeds, each automorphism s of `inst.symmetries`
-    is compared: with c the partial coloring and s(c) the coloring that reads
-    c(s(e)) at each item e, a node is cut, for cause "symmetry", when at
-    the first position along `inst.order` where c and s(c) differ both
-    items are colored and s(c) is smaller there: col[s(e)] < col[e].  Every
+    After propagation succeeds, each automorphism s of `inst.symmetries`,
+    held as its pairs (e, s(e)), is compared: with c the partial coloring
+    and s(c) the coloring that reads c(s(e)) at each item e, a node is cut,
+    for cause "symmetry", when at the first pair along `inst.order` where c
+    and s(c) differ both items are colored (col[e] and col[s(e)] nonzero)
+    and s(c) is smaller there: col[s(e)] < col[e].  Every
     completion of c is then larger than its image, so none is the
     lexicographically first free coloring, which is the least in its orbit.
     This holds for any set of automorphisms, so `inst.symmetries` may hold
@@ -495,11 +495,11 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     every item is colored and the coloring is free.  A frame holds its
     depth, the color last tried there (the next is the least color above
     it in the item's domain) and what to restore before the next color:
-    the color masks, the colored neighborhoods, the assigned-item mask, the
-    length of `trail`, which records (item, old domain) for each domain
-    change that leaves a choice (only possible with three or more colors),
-    and the active automorphisms with their positions.  The witness is
-    `col` itself.
+    the color masks, the colored neighborhoods, the assigned-item mask
+    (the items colored since get col 0 again), the length of `trail`, which
+    records (item, old domain) for each domain change that leaves a choice
+    (only possible with three or more colors), and the active automorphisms
+    with their positions.  The witness is `col` itself.
 
     `nodes` counts colors tried at decisions; each is either pruned, for
     one cause, or entered, and a color outside the item's domain is neither
@@ -524,10 +524,9 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     adj, n, m, r = g.adj, g.n, len(elist), spec.r
 
     dom = list(inst.domains)
-    col = [0] * m  # col[e]: item e's color, read only while e is assigned
-    # Each automorphism still active on this branch, as its triples (both
-    # items' mask, e, s(e)) along `order`, and how many of them are known
-    # to be equal.
+    col = [0] * m  # col[e]: item e's color, 0 while e is uncolored
+    # Each automorphism still active on this branch, as its pairs (e, s(e))
+    # along `order`, and how many of them are known to be equal.
     sym = [(pairs, 0) for pairs in inst.symmetries]
     assigned = 0
     color_mask = [0] * (r + 1)
@@ -552,6 +551,8 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
         if c:  # undo what the previous color assigned
             color_mask[:] = saved_masks
             nbr[:] = saved_nbr
+            for e in bits_of(assigned & ~saved_assigned):
+                col[e] = 0
             assigned = saved_assigned
             while len(trail) > mark:
                 e, old = trail.pop()
@@ -621,8 +622,8 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
             sym = []
             for entry in saved_sym:
                 pairs, pos = entry
-                both, e, f = pairs[pos]
-                while assigned & both == both:  # both colored
+                e, f = pairs[pos]
+                while col[e] and col[f]:  # both colored
                     if col[e] != col[f]:  # the first difference
                         if col[f] < col[e]:  # the image is smaller
                             cause = "symmetry"
@@ -630,7 +631,7 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
                     pos += 1
                     if pos == len(pairs):  # equal on every item s moves
                         break
-                    both, e, f = pairs[pos]
+                    e, f = pairs[pos]
                 else:
                     sym.append(entry if pos == entry[1] else (pairs, pos))
                 if cause:
@@ -638,7 +639,7 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
         if cause:  # the one cut: the color tried here is pruned
             stats.prunings[cause] = stats.prunings.get(cause, 0) + 1
             continue
-        while depth < m and assigned >> order[depth] & 1:
+        while depth < m and col[order[depth]]:
             depth += 1  # descend to the next uncolored item
         if depth == m:
             verdict = Verdict.FREE_COLORING

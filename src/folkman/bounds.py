@@ -47,7 +47,7 @@ def build_q() -> Graph:
 
 def build_theorem_graph() -> Graph:
     """K_8 + Q: 21 vertices, clique number 12; the carrier of F_e(3,5;13) <= 21."""
-    return join(complete(8), build_q()).relabel("K8+Q")
+    return join(complete(8), build_q())
 
 
 def build_lin_graph() -> Graph:
@@ -56,7 +56,7 @@ def build_lin_graph() -> Graph:
     Whether it edge-arrows (3,5) is an open problem.  `bound_certificate`
     refuses the bound it would give, 18 < 21, the best published upper bound.
     """
-    return join(complete(8), join(cycle(5), cycle(5))).relabel("K8+C5+C5")
+    return join(complete(8), join(cycle(5), cycle(5)))
 
 
 BUILTIN_GRAPHS = {

@@ -54,7 +54,8 @@ def resolve_graph(source: str) -> Graph:
     are written, trying in order:
 
     - `@path` to a graph6 file, the rest of the source taken whole as the
-      path;
+      path; like a literal graph6 string it carries no label, since a file
+      name is not a graph source and the file can change;
     - `A+B+...`, split at each `+` outside parentheses: each part resolved
       here, joined left to right;
     - `C<n>(<d>,...)`, the circulant on n vertices with those offsets;
@@ -69,7 +70,7 @@ def resolve_graph(source: str) -> Graph:
     if source.startswith("@"):
         text = Path(source[1:]).read_text()
         try:
-            return graphs.parse_graph6(text).relabel(Path(source[1:]).stem)
+            return graphs.parse_graph6(text)
         except graphs.Graph6Error as exc:
             raise ValueError(f"bad graph6 file {source[1:]}: {exc}")
     first, *rest = re.split(r"\+(?![^(]*\))", source)

@@ -728,6 +728,45 @@ def test_automorphisms_hold_a_transversal_of_each_level():
     assert (levels, compared) == (196, 87)
 
 
+def test_symmetries_act_on_the_items_as_automorphisms():
+    # The lex-leader cut is sound only if each entry of `symmetries` is the
+    # action of an automorphism on the items: its pairs (e, s(e)) list the
+    # items it moves along `order`, and the item map they give, identity
+    # elsewhere, carries every forbidden clique onto one of the same color
+    # list.  `check_automorphism` checks the vertex permutation; this checks
+    # the item image derived from it.
+    q, c5 = build_q(), cycle(5)
+    theorem = build_theorem_graph()
+    cases = [(ArrowInstance, complete(9), (3, 4)),
+             (ArrowInstance, join(c5, join(c5, c5)), (3, 3)),
+             (ArrowInstance, join(complete(2), q), (3, 4)),
+             (ArrowInstance, join(complete(3), join(c5, c5)), (3, 4)),
+             (ArrowInstance, theorem, (3, 5)),
+             (ArrowInstance, relabelled(theorem, random.Random(1)), (3, 5)),
+             (ArrowInstance, relabelled(theorem, random.Random(2)), (3, 5)),
+             (VertexInstance, q, (3, 4))]
+    for make, g, sizes in cases:
+        inst = make(g, ArrowSpec(sizes))
+        where = {e: i for i, e in enumerate(inst.order)}
+        forbidden = [{tuple(sorted(ids)) for ids in constraints}
+                     for constraints in inst.cliques]
+        entries = inst.symmetries
+        assert entries and len(set(entries)) == len(entries), (g.label, sizes)
+        for pairs in entries:
+            moved = [e for e, _ in pairs]
+            assert all(e != f for e, f in pairs)
+            assert [where[e] for e in moved] == sorted(set(where[e] for e in moved))
+            assert sorted(f for _, f in pairs) == sorted(moved)
+            image = list(range(len(inst.items)))
+            for e, f in pairs:
+                image[e] = f
+            for constraints, cliques in zip(inst.cliques, forbidden):
+                for ids in constraints:
+                    assert tuple(sorted(image[e] for e in ids)) in cliques
+        out = _search(inst, SearchBudget(max_nodes=1))
+        assert out.stats.generators == len(entries)
+
+
 def test_relabelled_c5c5c5_trees_are_pinned():
     # The lex-leader test takes a transversal of every stabilizer level, so
     # C5+C5+C5 (3,3) takes 1,605 nodes as built (2,973 with the generators

@@ -67,6 +67,16 @@ def test_graph_labels_read_back_as_their_graph(source):
     assert (again, again.label) == (g, g.label)
 
 
+def test_path_source_carries_no_label(capsys, tmp_path):
+    # A file's name is not a graph source, and the file can change: K5 in
+    # a file named K6.g6 is unlabeled, as its graph6 string is.
+    path = tmp_path / "K6.g6"
+    path.write_text(emit_graph6(complete(5)))
+    code, out, _ = run(capsys, "construct", f"@{path}")
+    assert code == 0
+    assert (out_map(out)["label"], out_map(out)["n"]) == ("-", "5")
+
+
 def test_construct_witnesses_are_pinned(capsys):
     # `max_clique` fixes which maximum clique and independent set
     # `construct` prints; a rewrite of it must keep them.
@@ -228,17 +238,21 @@ def test_encode_dimacs_pins(capsys, tmp_path, graph, header, sha):
     assert f"p cnf {header}" in path.read_text().splitlines()
 
 
-def test_encode_refuses_a_label_with_a_line_break(capsys, tmp_path):
-    # The label of `@path` goes into a DIMACS comment; a line break in it
-    # would split that comment into a line `parse_dimacs` rejects.
+def test_encode_reads_a_path_with_a_line_break_unlabeled(capsys, tmp_path):
+    # A graph read from `@path` carries no label, so the file's name, line
+    # break and all, never reaches the DIMACS comment: it encodes to the
+    # bytes of its graph6 string.
     path = tmp_path / "bad\nname.g6"
     path.write_text(emit_graph6(complete(5)))
-    out_path = tmp_path / "out.cnf"
-    code, out, err = run(capsys, "encode", "--graph", f"@{path}", "--spec", "3,3",
+    written = []
+    for i, source in enumerate((f"@{path}", emit_graph6(complete(5)))):
+        out_path = tmp_path / f"out{i}.cnf"
+        code, _, _ = run(capsys, "encode", "--graph", source, "--spec", "3,3",
                          "-o", str(out_path))
-    assert code == 3
-    assert "line break" in err and out == ""
-    assert not out_path.exists()
+        assert code == 0
+        written.append(out_path.read_text())
+    assert written[0] == written[1]
+    assert "c graph unlabeled n=5 m=10" in written[0].splitlines()
 
 
 def test_encode_decode_pipeline(capsys, tmp_path):

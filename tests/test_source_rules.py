@@ -175,6 +175,23 @@ def test_every_automorphism_is_checked_where_the_search_takes_it():
     assert "ArrowInstance.symmetries" in callers(trees["arrowing.py"], "check_automorphism")
 
 
+def test_automorphisms_are_kept_as_item_pairs():
+    # `symmetries` keeps each automorphism as its (e, s(e)) item pairs: the
+    # search's color list says whether an item is colored, so no bitmask is
+    # built per pair, by a shift or by `mask_of`.
+    tree = ast.parse((SRC / "arrowing.py").read_text())
+    instance = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "ArrowInstance")
+    symmetries = next(node for node in instance.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "symmetries")
+    shifts = [node.lineno for node in ast.walk(symmetries)
+              if isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, ast.LShift)]
+    read = [line for line, name in names_read(symmetries) if name == "mask_of"]
+    assert shifts == [], f"ArrowInstance.symmetries shifts on line(s) {shifts}"
+    assert read == [], f"ArrowInstance.symmetries reads mask_of on line(s) {read}"
+
+
 def test_search_order_reads_the_instance_cliques():
     # The instance enumerates its forbidden cliques once, when it is built,
     # and the search index, `order` included, reads those; no other part of
