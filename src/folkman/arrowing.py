@@ -24,8 +24,8 @@ import time
 from functools import cached_property
 from itertools import combinations
 
-from .graphs import (Graph, automorphism_generators, bits_of, check_automorphism,
-                     edges, emit_graph6, enumerate_cliques, has_clique, mask_of)
+from .graphs import (Graph, automorphism_generators, bits_of, edges, emit_graph6,
+                     enumerate_cliques, has_clique, mask_of)
 
 
 class ColoringError(ValueError):
@@ -249,6 +249,12 @@ class ArrowInstance:
         self.cliques = tuple(lists[a] for a in spec.sizes)
 
     def _items(self):
+        return self._edges
+
+    @cached_property
+    def _edges(self) -> list[tuple[int, int]]:
+        # The canonical edge list: the items here, and what `_image` checks
+        # a vertex permutation on for either kind of instance.
         return edges(self.g)
 
     @cached_property
@@ -257,7 +263,7 @@ class ArrowInstance:
         # column v, and -1 where u and v are not adjacent.
         n = self.g.n
         rows = [[-1] * n for _ in range(n)]
-        for e, (u, v) in enumerate(self.items):
+        for e, (u, v) in enumerate(self._edges):
             rows[u][v] = rows[v][u] = e
         return rows
 
@@ -297,21 +303,20 @@ class ArrowInstance:
     @cached_property
     def order(self) -> list[int]:
         """Static search order: edges in the most forbidden cliques first,
-        counted over `cliques` of every color, ties in lexicographic order,
-        so monochromatic-clique constraints complete as early as possible."""
-        count = [0] * len(self.items)
-        for constraints in self.cliques:
-            for ids in constraints:
-                for e in ids:
-                    count[e] += 1
+        ties in lexicographic order, so monochromatic-clique constraints
+        complete as early as possible.  An edge's count is the summed
+        length of its `by_edge` lists, one per color, so a list that colors
+        with equal sizes share counts once per color."""
+        count = [sum(map(len, lists)) for lists in zip(*self.by_edge)]
         return sorted(range(len(self.items)), key=lambda e: -count[e])
 
     @cached_property
     def domains(self) -> tuple[int, ...]:
         """Initial color domains: domains[e] has bit c set for each color c
         that item e may take, and a search decision on e tries exactly
-        these colors, ascending.  Color c is left out when e alone is a
-        forbidden color-c clique (a_c = 2 on edges).  When all forbidden
+        these colors, ascending.  Color c is left out of every item's
+        domain when color c's cliques are single items (a_c = 2 on edges:
+        each edge alone is a forbidden clique).  When all forbidden
         sizes are equal the colors are interchangeable, so `order[0]` keeps
         only its lowest color: the lexicographically first free coloring
         has it, which cuts the tree by a factor r and loses no verdict.
@@ -323,12 +328,11 @@ class ArrowInstance:
         dom[f] for each of its pairs (e, f), which list every item it
         moves.  Otherwise `symmetries` must be restricted to the
         automorphisms that pass this filter."""
-        r = self.spec.r
-        dom = [(1 << (r + 1)) - 2] * len(self.items)
+        colors = (1 << (self.spec.r + 1)) - 2
         for c, constraints in enumerate(self.cliques, start=1):
-            for ids in constraints:
-                if len(ids) == 1:  # this item alone is a forbidden color-c clique
-                    dom[ids[0]] &= ~(1 << c)
+            if constraints and len(constraints[0]) == 1:  # then each item is one
+                colors &= ~(1 << c)
+        dom = [colors] * len(self.items)
         if len(set(self.spec.sizes)) == 1 and dom:
             first = self.order[0]
             dom[first] &= -dom[first]  # its lowest color
@@ -359,20 +363,29 @@ class ArrowInstance:
         return tuple(caps)
 
     def _image(self, perm) -> tuple[int, ...]:
-        # The image of each item under the vertex permutation perm.
+        # The image of each item under the vertex permutation perm, and the
+        # check that perm is an automorphism: a permutation of 0..n-1 (so
+        # no entry indexes a row from its end) under which no edge's image
+        # is -1, a non-edge.  Such a map is one-to-one on vertex pairs, so
+        # it maps the edges onto the edges.
         rows = self._edge_ids
-        return tuple([rows[perm[u]][perm[v]] for u, v in self.items])
+        if sorted(perm) == list(range(self.g.n)):
+            image = tuple([rows[perm[u]][perm[v]] for u, v in self._edges])
+            if -1 not in image:
+                return image
+        raise RuntimeError(f"not an automorphism of the graph: {perm}")
 
     @cached_property
     def symmetries(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per automorphism s of `automorphism_generators(g)`, each checked
-        to be one, the items e that s moves, listed along `order`, as the
-        pairs (e, s(e)) that the search reads: s's action on the items,
-        identity elsewhere.  Automorphisms that move no item, or move them
+        """Per automorphism s of `automorphism_generators(g)`, the items e
+        that s moves, listed along `order`, as the pairs (e, s(e)) that the
+        search reads: s's action on the items, identity elsewhere.  Each
+        permutation passes through `_image`, which checks that it is an
+        automorphism in the pass that builds its item image, before the
+        search can use it.  Automorphisms that move no item, or move them
         as an earlier one does, are left out."""
         out = {}  # keyed by the pairs, in first-seen order
         for perm in automorphism_generators(self.g):
-            check_automorphism(self.g, perm)
             image = self._image(perm)
             pairs = tuple([(e, image[e]) for e in self.order if image[e] != e])
             if pairs:
@@ -413,6 +426,9 @@ class VertexInstance(ArrowInstance):
     _vertices = _ids  # a vertex clique's item ids are its vertices
 
     def _image(self, perm) -> tuple[int, ...]:
+        # The edge instance's check, on the edge image; the vertex items'
+        # image is perm itself.
+        super()._image(perm)
         return perm
 
     @cached_property

@@ -169,8 +169,6 @@ def decode_model(g: Graph, spec: ArrowSpec, model) -> EdgeColoring:
     num_vars = len(inst.items)
     assignment: dict[int, bool] = {}
     for lit in model:
-        if lit == 0:
-            continue
         var = abs(lit)
         if var > num_vars:
             raise CnfError(f"model names variable {var}, outside 1..{num_vars}")

@@ -352,15 +352,6 @@ def _maps_edges(g: Graph, perm) -> bool:
     return True
 
 
-def check_automorphism(g: Graph, perm) -> None:
-    """Raise RuntimeError unless `perm` (perm[v] = image of v) is a
-    permutation of 0..n-1 that maps edges onto edges."""
-    if sorted(perm) != list(range(g.n)):
-        raise RuntimeError(f"not a permutation of 0..{g.n - 1}: {perm}")
-    if not _maps_edges(g, perm):
-        raise RuntimeError(f"not an automorphism of the graph: {perm}")
-
-
 def _refine(adj, cells: list[int], splitters: list[int]) -> tuple[list[int], tuple]:
     """Split the ordered cells (vertex bitmasks) by each splitter in turn:
     a cell splits into parts by its vertices' neighbor counts in the
@@ -489,11 +480,12 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     level d carries v_d to a vertex no earlier one reached, so it is its
     level's transversal element for that vertex, and its inverse follows;
     a twin swap is its own inverse.  K_n has no path: its list is the n-1
-    adjacent transpositions.  Nothing here runs `check_automorphism`:
+    adjacent transpositions.  Nothing here checks the list again:
     `_match_below` tests each match with `_maps_edges`, a twin swap is an
-    automorphism by definition, a transversal element is composed of
-    automorphisms, and `ArrowInstance.symmetries`, where the search takes
-    the permutations, checks every one before it is used.
+    automorphism by definition, and a transversal element is composed of
+    automorphisms.  `ArrowInstance.symmetries`, where the search takes the
+    permutations, checks every one in the pass that builds its item image
+    (`ArrowInstance._image`) before it is used.
     """
     n, adj = g.n, g.adj
     twins = [1 << v for v in range(n)]

@@ -167,6 +167,15 @@ def brute_automorphisms(g: Graph) -> set[tuple[int, ...]]:
             if all(tuple(sorted((p[u], p[v]))) in es for u, v in es)}
 
 
+def is_automorphism(g: Graph, perm) -> bool:
+    """Is `perm` (perm[v] = image of v) a permutation of 0..n-1 whose image
+    of the edge set is the edge set?"""
+    if sorted(perm) != list(range(g.n)):
+        return False
+    es = edge_set(g)
+    return {tuple(sorted((perm[u], perm[v]))) for u, v in es} == es
+
+
 def generated_group(n: int, gens) -> set[tuple[int, ...]]:
     """The permutation group the permutations `gens` of 0..n-1 generate,
     by closing the identity under composition."""

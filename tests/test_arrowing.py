@@ -13,15 +13,15 @@ from folkman.arrowing import (ArrowInstance, ArrowSpec, ColoringError,
                               arrows_edges, arrows_vertices,
                               decimal, is_free_edge_coloring)
 from folkman.graphs import (Graph, _individualize, _refine, _target, _twin_classes,
-                            automorphism_generators, check_automorphism, circulant,
-                            complete, cycle, edges, join, mask_of)
+                            automorphism_generators, circulant, complete, cycle,
+                            edges, join, mask_of)
 from folkman.bounds import bound_certificate, build_lin_graph, build_q, build_theorem_graph
 from folkman.cnf import (CnfError, decode_model, dimacs_sha256, emit_dimacs,
                          encode_edge_arrowing)
 from oracles import (brute_arrows_edges, brute_arrows_edges_2color,
                      brute_arrows_vertices, brute_cliques, brute_first_free_coloring,
                      brute_first_free_vertex_coloring, disjoint_union,
-                     generated_group, random_graph, relabelled)
+                     generated_group, is_automorphism, random_graph, relabelled)
 
 
 def unbounded(g: Graph, spec: ArrowSpec) -> ArrowInstance:
@@ -57,6 +57,21 @@ def test_arrow_spec_validation():
     # More digits than int() converts is named, not int()'s own message.
     with pytest.raises(ValueError, match="^spec size: 5000 digits, too many for int"):
         ArrowSpec.parse("3," + "9" * 5000)
+
+
+def test_graphs_and_specs_are_values():
+    # Equal graphs and equal specs hash alike, so each pair is one set
+    # element; neither equals a value of another type, and each repr reads
+    # back as an equal value.  A graph's label is a name, not part of it.
+    k3 = complete(3)
+    assert len({k3, k3.relabel("triangle"), Graph(3, k3.adj)}) == 1
+    assert len({ArrowSpec((3, 4)), ArrowSpec.parse("3,4")}) == 1
+    assert complete(3) != "K3"
+    assert ArrowSpec((3, 3)) != (3, 3)
+    names = {"Graph": Graph, "ArrowSpec": ArrowSpec}
+    for value in (k3, ArrowSpec((3, 4))):
+        assert eval(repr(value), names) == value
+    assert eval(repr(k3), names).label == "K3"
 
 
 def test_decimal_reads_ascii_digits_only():
@@ -709,8 +724,7 @@ def test_automorphisms_hold_a_transversal_of_each_level():
     levels = compared = 0
     for g in graphs:
         perms = automorphism_generators(g)
-        for perm in perms:
-            check_automorphism(g, perm)
+        assert all(is_automorphism(g, perm) for perm in perms), edges(g)
         assert len(set(perms)) == len(perms)
         inverses = {tuple(sorted(range(g.n), key=perm.__getitem__)) for perm in perms}
         assert inverses == set(perms), edges(g)
@@ -733,8 +747,8 @@ def test_symmetries_act_on_the_items_as_automorphisms():
     # action of an automorphism on the items: its pairs (e, s(e)) list the
     # items it moves along `order`, and the item map they give, identity
     # elsewhere, carries every forbidden clique onto one of the same color
-    # list.  `check_automorphism` checks the vertex permutation; this checks
-    # the item image derived from it.
+    # list.  `_image` checks the vertex permutation as it builds the item
+    # image; this checks the item image itself.
     q, c5 = build_q(), cycle(5)
     theorem = build_theorem_graph()
     cases = [(ArrowInstance, complete(9), (3, 4)),
@@ -799,6 +813,27 @@ def test_search_refuses_a_non_automorphism(monkeypatch):
         arrows_edges(wheel, ArrowSpec((3, 3)))
     with pytest.raises(RuntimeError, match="not an automorphism"):
         arrows_vertices(wheel, ArrowSpec((2, 3)))
+    with pytest.raises(RuntimeError, match="not an automorphism"):
+        VertexInstance(wheel, ArrowSpec((2, 3))).symmetries
+
+
+def test_symmetries_refuse_a_non_automorphism(monkeypatch):
+    # Each permutation the search takes is checked in the pass that builds
+    # its item image, for edge and vertex items alike: a permutation of C4
+    # that is no automorphism, one too short and one that is no permutation
+    # are each refused before any search; the rotation passes.
+    c4, spec = cycle(4), ArrowSpec((3, 3))
+    monkeypatch.setattr(arrowing, "automorphism_generators", lambda g: [(1, 2, 3, 0)])
+    assert is_automorphism(c4, (1, 2, 3, 0))
+    assert ArrowInstance(c4, spec).symmetries and VertexInstance(c4, spec).symmetries
+    for perm in [(1, 0, 2, 3), (0, 1, 2), (0, 0, 1, 2)]:
+        assert not is_automorphism(c4, perm)
+        monkeypatch.setattr(arrowing, "automorphism_generators", lambda g: [perm])
+        for make, search in [(ArrowInstance, arrows_edges), (VertexInstance, arrows_vertices)]:
+            with pytest.raises(RuntimeError, match="not an automorphism"):
+                make(c4, spec).symmetries
+            with pytest.raises(RuntimeError, match="not an automorphism"):
+                search(c4, spec)
 
 
 def test_only_the_search_finds_automorphisms(monkeypatch):

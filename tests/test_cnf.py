@@ -156,6 +156,19 @@ def test_decode_model_k5():
     assert coloring.colors == tuple(witness[e] for e in edges(g))
 
 
+def test_decode_model_passes_over_a_zero():
+    # `parse_model` stops at the first 0, so no 0 reaches the decoder from a
+    # solver's output; a list that holds one anyway decodes to the same
+    # coloring, since the 0 names no variable the coloring reads.
+    g = complete(5)
+    spec = ArrowSpec((3, 3))
+    arrows, witness = brute_arrows_edges_2color(g, spec.sizes)
+    model = [i if witness[e] == 1 else -i for i, e in enumerate(edges(g), start=1)]
+    colors = decode_model(g, spec, model).colors
+    for zeros in (model[:4] + [0] + model[4:], [0] + model + [0, 0]):
+        assert decode_model(g, spec, zeros).colors == colors
+
+
 def test_decode_model_rejects_non_free():
     g = complete(3)
     with pytest.raises(CnfError, match="non-free"):

@@ -165,25 +165,48 @@ def callers(tree, name: str) -> list[str]:
         getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
+def symmetries_of(tree):
+    """The definition of `ArrowInstance.symmetries` in arrowing.py's tree."""
+    instance = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "ArrowInstance")
+    return next(node for node in instance.body
+                if isinstance(node, ast.FunctionDef) and node.name == "symmetries")
+
+
 def test_every_automorphism_is_checked_where_the_search_takes_it():
-    # `automorphism_generators` does not check its own permutations; the
-    # one place that takes them checks each before the search uses it.
+    # `automorphism_generators` does not check its own permutations.  The
+    # one place that takes them, `ArrowInstance.symmetries`, passes each
+    # through `_image`, whose pass that builds the item image is the check,
+    # and reads it nowhere else, so no second walk checks it again; the
+    # vertex instance's `_image` runs the edge instance's.  `_maps_edges`
+    # tests only the finder's own matches.
     trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
     taken = [(module, scope) for module, tree in trees.items()
              for scope in callers(tree, "automorphism_generators")]
     assert taken == [("arrowing.py", "ArrowInstance.symmetries")]
-    assert "ArrowInstance.symmetries" in callers(trees["arrowing.py"], "check_automorphism")
+    loops = [node for node in ast.walk(symmetries_of(trees["arrowing.py"]))
+             if isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+             and getattr(node.iter.func, "id", None) == "automorphism_generators"]
+    assert len(loops) == 1 and isinstance(loops[0].target, ast.Name)
+    perm = loops[0].target.id
+    reads = [node for node in ast.walk(loops[0]) if isinstance(node, ast.Name)
+             and node.id == perm and isinstance(node.ctx, ast.Load)]
+    images = [node.args[0] for node in ast.walk(loops[0]) if isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "_image" and len(node.args) == 1]
+    assert len(reads) == 1 and images == reads, \
+        f"symmetries reads {perm} on line(s) {[node.lineno for node in reads]}"
+    assert sorted(callers(trees["arrowing.py"], "_image")) == [
+        "ArrowInstance.symmetries", "VertexInstance._image"]
+    checks = [(module, scope) for module, tree in trees.items()
+              for scope in callers(tree, "_maps_edges")]
+    assert checks == [("graphs.py", "_match_below")]
 
 
 def test_automorphisms_are_kept_as_item_pairs():
     # `symmetries` keeps each automorphism as its (e, s(e)) item pairs: the
     # search's color list says whether an item is colored, so no bitmask is
     # built per pair, by a shift or by `mask_of`.
-    tree = ast.parse((SRC / "arrowing.py").read_text())
-    instance = next(node for node in tree.body
-                    if isinstance(node, ast.ClassDef) and node.name == "ArrowInstance")
-    symmetries = next(node for node in instance.body
-                      if isinstance(node, ast.FunctionDef) and node.name == "symmetries")
+    symmetries = symmetries_of(ast.parse((SRC / "arrowing.py").read_text()))
     shifts = [node.lineno for node in ast.walk(symmetries)
               if isinstance(node, (ast.BinOp, ast.AugAssign))
               and isinstance(node.op, ast.LShift)]
