@@ -139,9 +139,9 @@ class SearchStats:
     move some item, each with a distinct action on the items.
     `prunings`: tried colors cut, by cause ("clique", "neighborhood",
     "symmetry").
-    `setup_seconds`: building the instance and its search index (forbidden
-    cliques, `by_edge`, `order`, `symmetries`); `seconds`: the search loop
-    after it."""
+    `setup_seconds`: building the instance's views that the search reads
+    (forbidden cliques, `by_edge`, `order`, `domains`, `symmetries`);
+    `seconds`: the search loop after it."""
 
     __slots__ = ("nodes", "propagations", "generators", "prunings",
                  "setup_seconds", "seconds")
@@ -232,11 +232,14 @@ class ArrowInstance:
     CNF clause order and which violation is reported first.  Colors with
     equal clique sizes share one list, built once.  A clique's
     vertices are not kept: `violation` works them out from `items` for the
-    one clique it reports.  `coloring` is the class of its colorings.  The
+    one clique it reports.  `coloring` is the class of its colorings.
+
+    The instance holds only `g` and `spec`; every view of them is built on
+    first read and kept.  `items` and `cliques` serve every reader.  The
     search-only data `by_edge` (which holds the cliques' item bitmasks),
-    `order`, `domains`, `bounds` and `symmetries` are built on first read,
-    by the search, so encoding and the free-coloring check (`violation`,
-    which reads the cliques' item ids) never pay for them.
+    `order`, `domains`, `bounds` and `symmetries` are read by the search
+    alone, so encoding and the free-coloring check (`violation`, which
+    reads the cliques' item ids) never pay for them.
     """
 
     coloring = EdgeColoring
@@ -244,12 +247,15 @@ class ArrowInstance:
     def __init__(self, g: Graph, spec: ArrowSpec):
         self.g = g
         self.spec = spec
-        self.items = self._items()
-        lists = {a: self._ids(enumerate_cliques(g, a)) for a in set(spec.sizes)}
-        self.cliques = tuple(lists[a] for a in spec.sizes)
 
-    def _items(self):
+    @cached_property
+    def items(self) -> list[tuple[int, int]]:
         return self._edges
+
+    @cached_property
+    def cliques(self) -> tuple[list[tuple[int, ...]], ...]:
+        lists = {a: self._ids(enumerate_cliques(self.g, a)) for a in set(self.spec.sizes)}
+        return tuple(lists[a] for a in self.spec.sizes)
 
     @cached_property
     def _edges(self) -> list[tuple[int, int]]:
@@ -417,7 +423,8 @@ class VertexInstance(ArrowInstance):
     coloring = VertexColoring
     bounds = None
 
-    def _items(self):
+    @cached_property
+    def items(self) -> range:
         return range(self.g.n)
 
     def _ids(self, cliques) -> list[tuple[int, ...]]:
@@ -457,7 +464,7 @@ def is_free_edge_coloring(g: Graph, spec: ArrowSpec, c: EdgeColoring):
 # --- the search --------------------------------------------------------------
 
 def _search(inst: ArrowInstance, budget: SearchBudget | None,
-            progress_every: int = 0, setup_start: float | None = None) -> SearchOutcome:
+            progress_every: int = 0) -> SearchOutcome:
     """Backtracking over colorings of `inst.items` with unit propagation;
     both the vertex and the edge search are this loop.  Every item's
     initial colors and every prune it makes are read from `inst`: the
@@ -526,12 +533,11 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     the instance before it is returned, by `inst.violation`, which reads the
     cliques' item ids and none of the bitmasks the search read.
 
-    `stats.setup_seconds` runs from `setup_start` (monotonic clock; the
-    callers read it before building `inst`, default the call) to the start
-    of the loop, so it covers the index build; `stats.seconds` and the time
-    budget cover the loop."""
-    if setup_start is None:
-        setup_start = time.monotonic()
+    `stats.setup_seconds` runs from the call to the start of the loop, so
+    it covers every view of `inst` first read there: a fresh instance's
+    clique enumeration, `by_edge`, `order`, `domains` and `symmetries`;
+    `stats.seconds` and the time budget cover the loop."""
+    setup_start = time.monotonic()
     if progress_every < 0:
         raise ValueError(f"progress interval must be >= 0, got {progress_every}")
     g, spec = inst.g, inst.spec
@@ -688,8 +694,7 @@ def arrows_vertices(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = Non
     lexicographically first in that order.  With `progress_every` N > 0, a
     progress line goes to standard error every N nodes.
     """
-    setup_start = time.monotonic()
-    return _search(VertexInstance(g, spec), budget, progress_every, setup_start)
+    return _search(VertexInstance(g, spec), budget, progress_every)
 
 
 def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
@@ -708,5 +713,4 @@ def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
     fully deterministic.  With `progress_every` N > 0, a progress line goes
     to standard error every N nodes.
     """
-    setup_start = time.monotonic()
-    return _search(ArrowInstance(g, spec), budget, progress_every, setup_start)
+    return _search(ArrowInstance(g, spec), budget, progress_every)

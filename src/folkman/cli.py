@@ -115,7 +115,6 @@ def _witness_obj(g: Graph, spec: ArrowSpec, witness) -> dict:
 
 
 def cmd_construct(args) -> int:
-    import json
     g = resolve_graph(args.graph)
     clique = max_clique(g)
     indep = max_clique(graphs.complement(g))
@@ -124,9 +123,9 @@ def cmd_construct(args) -> int:
     print(f"n {g.n}")
     print(f"edges {g.edge_count}")
     print(f"clique_number {len(clique)}")
-    print(f"clique_witness {json.dumps(clique)}")
+    print(f"clique_witness {clique}")
     print(f"independence_number {len(indep)}")
-    print(f"independent_set_witness {json.dumps(indep)}")
+    print(f"independent_set_witness {indep}")
     return 0
 
 

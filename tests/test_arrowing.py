@@ -507,6 +507,33 @@ def test_setup_time_is_kept_apart_from_search_time(monkeypatch):
         assert out.to_json_obj()["stats"]["setup_seconds"] >= 0.2
 
 
+def test_search_set_up_covers_the_clique_enumeration(monkeypatch):
+    # An instance holds its graph and spec until a view is read, so the
+    # cliques are enumerated on first read: a search on a fresh instance
+    # does it inside its own set-up, and `setup_seconds` covers it.
+    delay = 0.02
+    calls = []
+    real = arrowing.enumerate_cliques
+
+    def slow(g, k):
+        calls.append(k)
+        time.sleep(delay)
+        return real(g, k)
+
+    monkeypatch.setattr(arrowing, "enumerate_cliques", slow)
+    g, spec = join(complete(2), cycle(5)), ArrowSpec((3, 4))
+    for kind in (ArrowInstance, VertexInstance):
+        inst = kind(g, spec)
+        assert calls == [], kind
+        assert _search(inst, None).stats.setup_seconds >= 2 * delay, kind
+        assert sorted(calls) == [3, 4], kind
+        calls.clear()
+    for search in (arrows_edges, arrows_vertices):
+        assert search(g, spec).stats.setup_seconds >= 2 * delay, search
+        assert len(calls) == 2, search
+        calls.clear()
+
+
 def test_budget_refuses_non_finite_seconds():
     # nan <= 0 is false, so a NaN budget was accepted and never ran out.
     for seconds in (float("nan"), float("inf"), 0.0, -1.0):
@@ -933,9 +960,9 @@ def test_vertex_instance_keeps_the_enumerated_cliques(monkeypatch):
     monkeypatch.setattr(arrowing, "enumerate_cliques",
                         lambda g, k: returned.append(real(g, k)) or returned[-1])
     g = join(complete(2), cycle(5))
-    inst = VertexInstance(g, ArrowSpec((2, 3, 4)))
+    held = VertexInstance(g, ArrowSpec((2, 3, 4))).cliques
     assert len(returned) == 3
-    for constraints, cliques, a in zip(inst.cliques, returned, (2, 3, 4)):
+    for constraints, cliques, a in zip(held, returned, (2, 3, 4)):
         assert constraints is cliques
         assert constraints == brute_cliques(g, a)
 

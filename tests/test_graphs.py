@@ -11,7 +11,7 @@ from folkman.graphs import (Graph, GraphError, Graph6Error, complete, cycle,
                             circulant, complement, join, edges,
                             has_clique, max_clique, enumerate_cliques,
                             parse_graph6, emit_graph6, automorphism_generators,
-                            _individualize, _orbit, _refine)
+                            _individualize, _maps_edges, _orbit, _refine)
 from oracles import (brute_automorphisms, brute_cliques, brute_clique_number,
                      brute_independence_number, disjoint_union, generated_group,
                      is_automorphism, random_graph, relabelled)
@@ -301,6 +301,26 @@ def test_automorphism_group_orders(name, order):
     rng = random.Random(59)
     for h in (g, relabelled(g, rng), relabelled(g, rng)):
         assert len(generated_group(h.n, automorphism_generators(h))) == order
+
+
+def test_generators_reject_leaves_that_are_not_automorphisms(monkeypatch):
+    # The Shrikhande graph, the Cayley graph of Z4 x Z4 on +-(0,1), +-(1,0)
+    # and +-(1,1), is strongly regular (16,6,2,2): refinement cannot tell
+    # its vertices apart, so some leaves the search matches map an edge to
+    # a non-edge, and `_maps_edges` must turn them down.
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    g = Graph.from_edges(16, [(u, v) for u, v in combinations(range(16), 2)
+                              if ((v // 4 - u // 4) % 4, (v - u) % 4) in steps])
+    assert emit_graph6(g) == "OlfJHsHBGK_\\oHWKeBK_\\"
+    seen = []
+    monkeypatch.setattr("folkman.graphs._maps_edges",
+                        lambda g, perm: seen.append(_maps_edges(g, perm)) or seen[-1])
+    gens = automorphism_generators(g)
+    assert False in seen and True in seen
+    assert all(is_automorphism(g, perm) for perm in gens)
+    inverses = {tuple(sorted(range(16), key=perm.__getitem__)) for perm in gens}
+    assert inverses == set(gens)
+    assert len(generated_group(16, gens)) == 192
 
 
 def test_orbit_maps_each_vertex_of_the_orbit():

@@ -216,11 +216,11 @@ def test_automorphisms_are_kept_as_item_pairs():
 
 
 def test_search_order_reads_the_instance_cliques():
-    # The instance enumerates its forbidden cliques once, when it is built,
+    # The instance enumerates its forbidden cliques once, on first read,
     # and the search index, `order` included, reads those; no other part of
     # arrowing.py enumerates cliques or asks for the clique number.
     tree = ast.parse((SRC / "arrowing.py").read_text())
-    assert callers(tree, "enumerate_cliques") == ["ArrowInstance.__init__"]
+    assert callers(tree, "enumerate_cliques") == ["ArrowInstance.cliques"]
     read = [(line, name) for line, name in names_read(tree) if name == "max_clique"]
     assert read == [], f"arrowing.py reads max_clique: {read}"
 

@@ -46,6 +46,15 @@ def test_arrows_loads_neither_cnf_nor_bounds(tmp_path, graph):
     assert loaded & {"folkman.cnf", "folkman.bounds"} == set()
 
 
+def test_construct_loads_no_json():
+    # `construct` prints its witness lists of ints with str(), which writes
+    # them as json.dumps does.
+    loaded = modules_loaded("from folkman.cli import main\n"
+                            "assert main(['construct', 'K6']) == 0")
+    assert "folkman.graphs" in loaded
+    assert "json" not in loaded
+
+
 def test_builtin_graph_loads_bounds():
     # The probe sees a module a command imports when it runs.  Each part of
     # a join is a source of its own, so `K8+q` reads `q` from bounds too.
