@@ -8,13 +8,15 @@ goes to standard error), so a failure never reads as a verdict.  Standard
 output is machine-parseable key/value lines; progress goes to standard
 error.
 
-`certify` prints a bound only from evidence it checks itself: with no
-`--evidence` it runs the edge search on the graph and spec, within
+`certify` prints a bound from one of two kinds of evidence.  With no
+`--evidence` it runs the edge search on the graph and spec itself, within
 `--max-nodes`/`--max-seconds` if given (out of budget: exit 2 and no
-certificate); with `--evidence` the file must be a solver UNSAT record
-whose `dimacs_sha256` matches a fresh `encode` of that graph and spec, and
-the budget flags are refused.  `arrows --evidence-out` files are run logs,
-not evidence.
+certificate), and that verdict is checked evidence.  With `--evidence` the
+file must be a solver UNSAT record whose `dimacs_sha256` matches a fresh
+`encode` of that graph and spec, and the budget flags are refused; the
+hash ties the record to the formula, but the UNSAT claim is the solver's
+and is not checked (`"checked": false`).  `arrows --evidence-out` files
+are run logs, not evidence.
 
 Every process pays for the modules it imports, so `cnf`, `bounds` and
 `json` are imported inside the commands that use them.

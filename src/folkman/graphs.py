@@ -41,10 +41,7 @@ class Graph:
             if row >> v & 1:
                 raise GraphError(f"loop at vertex {v}")
         for v, row in enumerate(self.adj):
-            m = row
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
+            for u in bits_of(row):
                 if not self.adj[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {v} and {u}")
 
@@ -78,19 +75,13 @@ class Graph:
 
 
 def edges(g: Graph) -> list[tuple[int, int]]:
-    """Canonical edge list: (u, v) with u < v, sorted lexicographically.
+    """Canonical edge list: (u, v) with u < v, sorted lexicographically,
+    which is the clique order of `enumerate_cliques` at k = 2.
 
     This ordering is normative downstream: CNF variable numbering and
     witness serialization both index into it.
     """
-    out = []
-    for u in range(g.n):
-        m = g.adj[u] >> (u + 1) << (u + 1)
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            out.append((u, v))
-    return out
+    return enumerate_cliques(g, 2)
 
 
 def complete(n: int) -> Graph:
@@ -233,7 +224,8 @@ def enumerate_cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
     """All k-cliques as ascending tuples, in lexicographic order.
 
     The order is normative: CNF clause order follows it, keeping emitted
-    DIMACS files reproducible byte for byte.
+    DIMACS files reproducible byte for byte, and the 2-cliques are the
+    canonical edge list (`edges`) that CNF variables and witnesses index.
     """
     if k < 1:
         raise GraphError(f"clique size must be >= 1, got {k}")

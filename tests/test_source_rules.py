@@ -225,6 +225,20 @@ def test_search_order_reads_the_instance_cliques():
     assert read == [], f"arrowing.py reads max_clique: {read}"
 
 
+def test_edge_list_is_the_two_cliques():
+    # CNF variables, witnesses and clauses index edges in one order, so the
+    # canonical edge list is `enumerate_cliques` at k = 2, with no walk of
+    # its own that could drift from the clique order.
+    tree = ast.parse((SRC / "graphs.py").read_text())
+    edges = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "edges")
+    calls = [ast.unparse(node) for node in ast.walk(edges) if isinstance(node, ast.Call)]
+    loops = [node.lineno for node in ast.walk(edges)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert calls == ["enumerate_cliques(g, 2)"], calls
+    assert loops == [], f"graphs.edges loops on line(s) {loops}"
+
+
 def test_graphs_are_built_from_text_in_one_function():
     # Every command reads its graph through `cli.resolve_graph`, so one
     # grammar names every graph and every label it writes reads back.
