@@ -162,6 +162,11 @@ class SearchStats:
 
 
 class SearchBudget:
+    """The limits of one search: it tries at most `max_nodes` nodes, and
+    tries no node once `max_seconds` have passed since its loop started.
+    `_search` compares both before each color it tries, so a search stops
+    within one node of its deadline.  None means no limit."""
+
     __slots__ = ("max_nodes", "max_seconds")
 
     def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
@@ -173,14 +178,6 @@ class SearchBudget:
                                                  and self.max_seconds > 0):
             raise ValueError(f"max_seconds must be positive and finite, "
                              f"got {self.max_seconds}")
-
-    def exceeded(self, nodes: int, start: float) -> bool:
-        """May a search that started at `start` (monotonic clock) and has
-        tried `nodes` nodes try no more?  The clock is read every 1024 nodes."""
-        if self.max_nodes is not None and nodes >= self.max_nodes:
-            return True
-        return (self.max_seconds is not None and nodes % 1024 == 0
-                and time.monotonic() - start > self.max_seconds)
 
 
 class SearchOutcome:
@@ -526,8 +523,11 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
 
     `nodes` counts colors tried at decisions; each is either pruned, for
     one cause, or entered, and a color outside the item's domain is neither
-    tried nor counted.  The budget is checked before a color is tried,
-    so a node budget of N tries N.  `propagations` counts forced
+    tried nor counted.  The budget is read once, as a node limit and a
+    deadline (the loop's start plus `max_seconds`), and both are compared
+    before each color is tried, so a node budget of N tries N and a search
+    stops within one node of its deadline; the clock is read there only
+    when a deadline is set.  `propagations` counts forced
     assignments.  With `progress_every` N > 0 a progress line goes to
     standard error every N nodes.  A free coloring found is checked against
     the instance before it is returned, by `inst.violation`, which reads the
@@ -559,6 +559,8 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     stats = SearchStats()
     nodes = propagations = 0
     start = time.monotonic()
+    max_nodes, seconds = (budget.max_nodes, budget.max_seconds) if budget else (None, None)
+    deadline = None if seconds is None else start + seconds
     verdict = Verdict.ARROWS if m else Verdict.FREE_COLORING
     while frames:  # try the next color at the innermost decision
         frame = frames[-1]
@@ -579,7 +581,8 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
             while len(trail) > mark:
                 e, old = trail.pop()
                 dom[e] = old
-        if budget is not None and budget.exceeded(nodes, start):
+        if (max_nodes is not None and nodes >= max_nodes
+                or deadline is not None and time.monotonic() > deadline):
             verdict = Verdict.BUDGET_EXHAUSTED
             break
         c += (left & -left).bit_length()

@@ -5,6 +5,7 @@ which keeps every set operation a single machine word pair for n <= 128.
 """
 from __future__ import annotations
 
+from itertools import compress
 from operator import itemgetter
 
 
@@ -47,6 +48,13 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edge_list, label: str = "") -> "Graph":
+        """The graph on n vertices whose edges are the pairs of `edge_list`,
+        any iterable, in either order and listed any number of times.  Every
+        builder that makes a graph from pairs calls this, and n is checked
+        before the first pair is read, so a vertex count out of range costs
+        no pair and no row."""
+        if not 1 <= n <= MAX_VERTICES:
+            raise GraphError(f"vertex count {n} outside 1..{MAX_VERTICES}")
         adj = [0] * n
         for u, v in edge_list:
             if not (0 <= u < n and 0 <= v < n):
@@ -94,7 +102,7 @@ def complete(n: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"C_n needs n >= 3, got {n}")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], f"C{n}")
+    return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)), f"C{n}")
 
 
 def circulant(n: int, connections) -> Graph:
@@ -102,18 +110,14 @@ def circulant(n: int, connections) -> Graph:
     for d in offs:
         if not 1 <= d <= n // 2:
             raise GraphError(f"circulant offset {d} outside 1..{n // 2}")
-    e = set()
-    for i in range(n):
-        for d in offs:
-            e.add(tuple(sorted((i, (i + d) % n))))
     name = f"C{n}({','.join(map(str, offs))})"
-    return Graph.from_edges(n, e, name)
+    return Graph.from_edges(n, ((i, (i + d) % n) for i in range(n) for d in offs), name)
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     adj = tuple(full & ~g.adj[v] & ~(1 << v) for v in range(g.n))
-    return Graph(g.n, adj, f"~{g.label}" if g.label else "")
+    return Graph(g.n, adj)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -123,8 +127,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     encoder depends on it.
     """
     n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise GraphError(f"join has {n} vertices, exceeds {MAX_VERTICES}")
     lo = (1 << g1.n) - 1
     hi = ((1 << n) - 1) & ~lo
     adj = [g1.adj[v] | hi for v in range(g1.n)]
@@ -253,15 +255,17 @@ class Graph6Error(ValueError):
     """Malformed graph6 input."""
 
 
+def _pairs(n: int):
+    """The vertex pairs (u, v), u < v, in graph6's bit order: by v, then u."""
+    return ((u, v) for v in range(1, n) for u in range(v))
+
+
 def emit_graph6(g: Graph) -> str:
     if g.n <= 62:
         head = chr(g.n + 63)
     else:
         head = "~" + "".join(chr((g.n >> s & 63) + 63) for s in (12, 6, 0))
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(g.adj[u] >> v & 1)
+    bits = [g.adj[u] >> v & 1 for u, v in _pairs(g.n)]
     while len(bits) % 6:
         bits.append(0)
     body = "".join(
@@ -301,15 +305,7 @@ def parse_graph6(text: str) -> Graph:
         bits.extend((x >> s_ & 1) for s_ in (5, 4, 3, 2, 1, 0))
     if any(bits[nbits:]):
         raise Graph6Error("nonzero padding bits in graph6 body")
-    adj = [0] * n
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            i += 1
-    return Graph(n, tuple(adj))
+    return Graph.from_edges(n, compress(_pairs(n), bits))
 
 
 # --- automorphisms ----------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import random
 import re
 import time
+import types
 
 import pytest
 
@@ -460,6 +461,17 @@ def test_arrows_edges_budget_exhaustion():
     assert out.verdict is Verdict.BUDGET_EXHAUSTED
     assert out.witness is None
     assert out.stats.nodes == 100
+
+
+def test_time_budget_is_checked_at_every_node(monkeypatch):
+    # A clock that gains a second per read: with a 2.5 s budget the search
+    # must stop within a few nodes, not run K6's 13 to the verdict.
+    ticks = iter(range(10**6))
+    clock = types.SimpleNamespace(monotonic=lambda: float(next(ticks)))
+    monkeypatch.setattr(arrowing, "time", clock)
+    out = arrows_edges(complete(6), ArrowSpec((3, 3)), SearchBudget(max_seconds=2.5))
+    assert out.verdict is Verdict.BUDGET_EXHAUSTED
+    assert out.stats.nodes <= 3
 
 
 @pytest.mark.parametrize("search,g,sizes,nodes", [

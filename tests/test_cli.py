@@ -67,6 +67,15 @@ def test_graph_labels_read_back_as_their_graph(source):
     assert (again, again.label) == (g, g.label)
 
 
+@pytest.mark.parametrize("source", ["C300000", "C300000(1)"])
+def test_construct_refuses_a_large_cycle_before_building_it(capsys, source):
+    # The vertex count is checked before any row is built, so this is
+    # refused at once instead of after gigabytes of rows.
+    code, _, err = run(capsys, "construct", source)
+    assert code == 3
+    assert "vertex count 300000 outside 1..128" in err
+
+
 def test_path_source_carries_no_label(capsys, tmp_path):
     # A file's name is not a graph source, and the file can change: K5 in
     # a file named K6.g6 is unlabeled, as its graph6 string is.

@@ -54,6 +54,8 @@ def test_circulant():
 def test_complement():
     assert complement(complete(5)).edge_count == 0
     assert complement(complement(cycle(5))) == cycle(5)
+    # No graph source reads a `~C5` label back, so a complement has none.
+    assert complement(cycle(5)).label == ""
 
 
 def test_complement_duality_random():
@@ -79,8 +81,18 @@ def test_join_basics():
 
 
 def test_join_overflow():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="vertex count 129 outside 1..128"):
         join(complete(100), complete(29))
+
+
+def test_from_edges_checks_the_vertex_count_first():
+    # Every builder from pairs goes through `from_edges`, which refuses an
+    # out-of-range vertex count before it reads a pair or builds a row.
+    spy = iter([(0, 1), (1, 2)])
+    for n in (0, 200):
+        with pytest.raises(GraphError, match=f"vertex count {n} outside 1..128"):
+            Graph.from_edges(n, spy)
+    assert next(spy) == (0, 1)
 
 
 def test_join_clique_additivity_random():

@@ -298,3 +298,40 @@ def test_oracles_import_only_graph_from_package():
                 node.level or (node.module or "").split(".")[0] == "folkman"):
             imported |= {(node.module, alias.name) for alias in node.names}
     assert {name for _, name in imported} <= {"Graph"}, imported
+
+
+def top_level(tree, name: str):
+    """The top-level function or class `name` in `tree`."""
+    return next(node for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+
+
+@pytest.mark.parametrize("builder", ["cycle", "circulant", "parse_graph6"])
+def test_graphs_from_pairs_are_built_by_from_edges(builder):
+    # Pairs become adjacency rows in `Graph.from_edges` alone, which checks
+    # the vertex count before it reads a pair, so no builder sets a row bit
+    # itself or builds rows before that check.
+    node = top_level(ast.parse((SRC / "graphs.py").read_text()), builder)
+    returns = [ret for ret in ast.walk(node) if isinstance(ret, ast.Return)]
+    ors = [n.lineno for n in ast.walk(node)
+           if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.BitOr)]
+    assert len(returns) == 1 and isinstance(returns[0].value, ast.Call)
+    assert ast.unparse(returns[0].value.func) == "Graph.from_edges"
+    assert ors == [], f"{builder} sets bits with |= on line(s) {ors}"
+
+
+def test_graph6_pair_order_is_written_once():
+    # The emitter and the parser both take graph6's bit order from `_pairs`.
+    tree = ast.parse((SRC / "graphs.py").read_text())
+    for function in ("emit_graph6", "parse_graph6"):
+        read = [name for _, name in names_read(top_level(tree, function))]
+        assert "_pairs" in read, function
+
+
+def test_search_budget_holds_only_its_limits():
+    # `_search` reads the limits once and compares them before each color,
+    # so the budget is data: no method of its own decides when to stop.
+    budget = top_level(ast.parse((SRC / "arrowing.py").read_text()), "SearchBudget")
+    methods = [node.name for node in budget.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert methods == ["__init__"], methods
