@@ -165,7 +165,10 @@ class SearchBudget:
     """The limits of one search: it tries at most `max_nodes` nodes, and
     tries no node once `max_seconds` have passed since its loop started.
     `_search` compares both before each color it tries, so a search stops
-    within one node of its deadline.  None means no limit."""
+    within one node of its deadline.  A limit of None is no limit, so
+    `SearchBudget()` is the search with no limit; every search takes a
+    budget, and that one is its default.  Nothing assigns to a budget's
+    fields after `__init__`, so one budget may serve many searches."""
 
     __slots__ = ("max_nodes", "max_seconds")
 
@@ -460,7 +463,7 @@ def is_free_edge_coloring(g: Graph, spec: ArrowSpec, c: EdgeColoring):
 
 # --- the search --------------------------------------------------------------
 
-def _search(inst: ArrowInstance, budget: SearchBudget | None,
+def _search(inst: ArrowInstance, budget: SearchBudget = SearchBudget(),
             progress_every: int = 0) -> SearchOutcome:
     """Backtracking over colorings of `inst.items` with unit propagation;
     both the vertex and the edge search are this loop.  Every item's
@@ -523,11 +526,12 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
 
     `nodes` counts colors tried at decisions; each is either pruned, for
     one cause, or entered, and a color outside the item's domain is neither
-    tried nor counted.  The budget is read once, as a node limit and a
-    deadline (the loop's start plus `max_seconds`), and both are compared
-    before each color is tried, so a node budget of N tries N and a search
-    stops within one node of its deadline; the clock is read there only
-    when a deadline is set.  `propagations` counts forced
+    tried nor counted.  `budget` is a `SearchBudget`, never None, and
+    `SearchBudget()`, the default, sets no limit.  It is read once, as a
+    node limit and a deadline (the loop's start plus `max_seconds`), and
+    both are compared before each color is tried, so a node budget of N
+    tries N and a search stops within one node of its deadline; the clock
+    is read there only when a deadline is set.  `propagations` counts forced
     assignments.  With `progress_every` N > 0 a progress line goes to
     standard error every N nodes.  A free coloring found is checked against
     the instance before it is returned, by `inst.violation`, which reads the
@@ -559,8 +563,8 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
     stats = SearchStats()
     nodes = propagations = 0
     start = time.monotonic()
-    max_nodes, seconds = (budget.max_nodes, budget.max_seconds) if budget else (None, None)
-    deadline = None if seconds is None else start + seconds
+    max_nodes = budget.max_nodes
+    deadline = None if budget.max_seconds is None else start + budget.max_seconds
     verdict = Verdict.ARROWS if m else Verdict.FREE_COLORING
     while frames:  # try the next color at the innermost decision
         frame = frames[-1]
@@ -685,7 +689,7 @@ def _search(inst: ArrowInstance, budget: SearchBudget | None,
                          inst.coloring.kind)
 
 
-def arrows_vertices(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
+def arrows_vertices(g: Graph, spec: ArrowSpec, budget: SearchBudget = SearchBudget(),
                     progress_every: int = 0) -> SearchOutcome:
     """Exhaustive backtracking over vertex colorings, with unit propagation.
 
@@ -694,13 +698,14 @@ def arrows_vertices(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = Non
     forbidden clique or is left with no color; a vertex left with a single
     color is forced to it, and a branch that an automorphism maps to a
     smaller coloring is cut.  A free coloring returned is the
-    lexicographically first in that order.  With `progress_every` N > 0, a
-    progress line goes to standard error every N nodes.
+    lexicographically first in that order.  `budget` bounds the search;
+    the default, `SearchBudget()`, sets no limit.  With `progress_every`
+    N > 0, a progress line goes to standard error every N nodes.
     """
     return _search(VertexInstance(g, spec), budget, progress_every)
 
 
-def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
+def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget = SearchBudget(),
                  progress_every: int = 0) -> SearchOutcome:
     """Exhaustive pruned backtracking over edge colorings, with unit
     propagation.
@@ -713,7 +718,8 @@ def arrows_edges(g: Graph, spec: ArrowSpec, budget: SearchBudget | None = None,
     Ramsey-derived cap, or when an automorphism of G maps its partial
     coloring to a smaller one.  A free coloring returned is the
     lexicographically first in that order.  Runs in one process and is
-    fully deterministic.  With `progress_every` N > 0, a progress line goes
-    to standard error every N nodes.
+    fully deterministic.  `budget` bounds the search; the default,
+    `SearchBudget()`, sets no limit.  With `progress_every` N > 0, a
+    progress line goes to standard error every N nodes.
     """
     return _search(ArrowInstance(g, spec), budget, progress_every)

@@ -99,12 +99,6 @@ def resolve_graph(source: str) -> Graph:
     raise ValueError(f"unknown graph source {source!r}: {error}")
 
 
-def _budget_from(args) -> SearchBudget | None:
-    if args.max_nodes is None and args.max_seconds is None:
-        return None
-    return SearchBudget(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
-
-
 def _dump_json(obj, path: str) -> None:
     import json
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -153,10 +147,10 @@ def _report_outcome(outcome: SearchOutcome, args) -> int:
 
 
 def cmd_arrows(args) -> int:
-    g = resolve_graph(args.graph)
-    spec = ArrowSpec.parse(args.spec)
     search = arrows_vertices if args.kind == "vertices" else arrows_edges
-    return _report_outcome(search(g, spec, _budget_from(args), args.progress), args)
+    outcome = search(resolve_graph(args.graph), ArrowSpec.parse(args.spec),
+                     SearchBudget(args.max_nodes, args.max_seconds), args.progress)
+    return _report_outcome(outcome, args)
 
 
 def cmd_encode(args) -> int:
@@ -193,16 +187,15 @@ def cmd_certify(args) -> int:
     from . import bounds
     g = resolve_graph(args.graph)
     spec = ArrowSpec.parse(args.spec)
-    budget = _budget_from(args)
     if args.evidence:
-        if budget is not None:
+        if args.max_nodes is not None or args.max_seconds is not None:
             raise ValueError("--max-nodes and --max-seconds bound the search that "
                              "certify runs without --evidence")
         import json
         evidence = json.loads(Path(args.evidence).read_text())
     else:
         bounds.check_bound_instance(g, spec, args.q)  # refuse before searching
-        evidence = arrows_edges(g, spec, budget)
+        evidence = arrows_edges(g, spec, SearchBudget(args.max_nodes, args.max_seconds))
         if evidence.verdict is Verdict.BUDGET_EXHAUSTED:
             print(f"verdict {evidence.verdict.value}")
             return EXIT_BUDGET

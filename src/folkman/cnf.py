@@ -19,11 +19,10 @@ class CnfError(ValueError):
 class CnfFormula:
     __slots__ = ("num_vars", "clauses", "comments")
 
-    def __init__(self, num_vars: int, clauses: list[list[int]],
-                 comments: list[str] | None = None):
+    def __init__(self, num_vars: int, clauses: list[list[int]], comments: list[str]):
         self.num_vars = num_vars
         self.clauses = clauses
-        self.comments = [] if comments is None else comments
+        self.comments = comments
 
 
 def encode_edge_arrowing(g: Graph, spec: ArrowSpec) -> CnfFormula:

@@ -334,7 +334,7 @@ def test_arrows_edges_witness_is_first_free_coloring():
             want = brute_first_free_coloring(g, sizes,
                                              [inst.items[e] for e in inst.order])
             for pruned, out in ((True, arrows_edges(g, spec)),
-                                (False, _search(unbounded(g, spec), None))):
+                                (False, _search(unbounded(g, spec)))):
                 assert (out.verdict is Verdict.ARROWS) == (want is None)
                 got = None if out.witness is None else {
                     (u, v): c for u, v, c in out.witness.to_json_obj()}
@@ -373,7 +373,7 @@ def test_arrows_edges_pruning_verdict_invariant():
         g = random_graph(rng, rng.randint(4, 7))
         for spec in (ArrowSpec((3, 3)), ArrowSpec((3, 4))):
             a = arrows_edges(g, spec)
-            b = _search(unbounded(g, spec), None)
+            b = _search(unbounded(g, spec))
             assert a.verdict == b.verdict
             assert "neighborhood" not in b.stats.prunings
             neighborhood_cuts += a.stats.prunings.get("neighborhood", 0)
@@ -382,7 +382,7 @@ def test_arrows_edges_pruning_verdict_invariant():
     # 6, which cuts on K8 and up; the cut changes neither verdict nor witness.
     for n in (8, 9, 10):
         g, spec = complete(n), ArrowSpec((3, 7))
-        a, b = arrows_edges(g, spec), _search(unbounded(g, spec), None)
+        a, b = arrows_edges(g, spec), _search(unbounded(g, spec))
         assert a.witness.colors == b.witness.colors
         assert a.stats.prunings["neighborhood"] > 0
 
@@ -434,11 +434,11 @@ def test_pinned_domain_is_a_cube(kind):
             if len(set(sizes)) == 1:  # the instance keeps color 1 first
                 fixed.setdefault(order[0], 1)
             inst.symmetries = ()
-            free = _search(inst, None)
+            free = _search(inst)
             domains = list(inst.domains)
             domains[x] = 1 << c
             inst.domains = tuple(domains)
-            out = _search(inst, None)
+            out = _search(inst)
             if kind == "edges":
                 want = brute_first_free_coloring(g, sizes, order, fixed)
                 got = None if out.witness is None else {
@@ -495,7 +495,7 @@ def test_search_with_no_items_or_no_colors():
     # empty at 0 nodes, whatever the budget.  An item whose domain is empty
     # exhausts the root decision at once: ARROWS at 0 nodes.
     for g in (Graph(3, (0, 0, 0)), complete(1)):
-        for budget in (None, SearchBudget(max_nodes=1)):
+        for budget in (SearchBudget(), SearchBudget(max_nodes=1)):
             out = arrows_edges(g, ArrowSpec((3, 3)), budget)
             assert out.verdict is Verdict.FREE_COLORING
             assert (out.witness.colors, out.stats.nodes) == ((), 0)
@@ -537,7 +537,7 @@ def test_search_set_up_covers_the_clique_enumeration(monkeypatch):
     for kind in (ArrowInstance, VertexInstance):
         inst = kind(g, spec)
         assert calls == [], kind
-        assert _search(inst, None).stats.setup_seconds >= 2 * delay, kind
+        assert _search(inst).stats.setup_seconds >= 2 * delay, kind
         assert sorted(calls) == [3, 4], kind
         calls.clear()
     for search in (arrows_edges, arrows_vertices):
@@ -584,7 +584,7 @@ def test_arrows_edges_search_pins():
         13, {"neighborhood": 5, "symmetry": 2})
     assert (out.stats.propagations, out.stats.generators) == (5, 5)
     # Without the neighborhood test the clique checks make up the cuts.
-    out = _search(unbounded(complete(6), ArrowSpec((3, 3))), None)
+    out = _search(unbounded(complete(6), ArrowSpec((3, 3))))
     assert out.verdict is Verdict.ARROWS
     assert (out.stats.nodes, out.stats.prunings) == (
         13, {"clique": 5, "symmetry": 2})
@@ -715,8 +715,8 @@ def test_symmetry_cut_keeps_verdict_and_witness(kind, g, sizes):
     make = ArrowInstance if kind == "edges" else VertexInstance
     full = make(g, spec)
     full.symmetries = ()
-    plain = _search(full, None)
-    cut = _search(make(g, spec), None)
+    plain = _search(full)
+    cut = _search(make(g, spec))
     assert cut.verdict is plain.verdict
     assert (cut.witness is None) == (plain.witness is None)
     if cut.witness is not None:

@@ -682,6 +682,17 @@ def test_certify_refuses_budget_with_evidence(capsys, tmp_path):
         assert err.startswith("error: --max-nodes and --max-seconds")
 
 
+def test_certify_refuses_budget_flags_with_evidence_before_their_values(capsys, tmp_path):
+    # The flags are refused as given, before any budget is built from them,
+    # so a value a budget would refuse gets the same refusal.
+    evidence = unsat_record(capsys, tmp_path, "K6", "3,3")
+    for flags in (["--max-nodes", "0"], ["--max-seconds", "0"]):
+        code, out, err = run(capsys, "certify", "--graph", "K6", "--spec", "3,3",
+                             "--q", "7", "--evidence", str(evidence), *flags)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: --max-nodes and --max-seconds"), err
+
+
 @pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1"])
 def test_non_finite_time_budget_exits_3(capsys, seconds):
     for argv in (["arrows", "edges", "--graph", "K6", "--spec", "3,3"],

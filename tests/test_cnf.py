@@ -235,4 +235,4 @@ def test_formula_validation():
     # list indexed by the literal would print [3] as "-2" and [0, 1] as "0 1".
     for clauses in ([[3]], [[0, 1]], [[-3]], [[1], [2, -3]]):
         with pytest.raises(CnfError, match="out of range for 2 variables"):
-            emit_dimacs(CnfFormula(2, clauses))
+            emit_dimacs(CnfFormula(2, clauses, []))

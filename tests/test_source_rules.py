@@ -335,3 +335,50 @@ def test_search_budget_holds_only_its_limits():
     methods = [node.name for node in budget.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     assert methods == ["__init__"], methods
+
+
+def annotations(tree):
+    """Every annotation in `tree`: of arguments, returns and annotated names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def union_members(node) -> set[str]:
+    """The members of a union annotation (`A | B`, `Optional[A]`,
+    `Union[A, B]`), each as its source text."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return union_members(node.left) | union_members(node.right)
+    if isinstance(node, ast.Subscript) and ast.unparse(node.value) in ("Optional", "Union"):
+        inner = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        members = set().union(*map(union_members, inner))
+        return members | {"None"} if ast.unparse(node.value) == "Optional" else members
+    return {ast.unparse(node)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_budget_may_be_none(path):
+    # `SearchBudget()` is the one spelling of "no limit", so no budget is
+    # annotated as possibly None.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in annotations(tree)
+             if {"SearchBudget", "None"} <= union_members(node)]
+    assert lines == [], f"{path.name}: a budget may be None on line(s) {lines}"
+
+
+def test_search_reads_the_budget_only_through_its_limits():
+    # `_search` reads `budget.max_nodes` and `budget.max_seconds` and never
+    # tests the budget itself (`if budget`, `budget is None`): a budget is
+    # always a `SearchBudget`, and `SearchBudget()` has no limit.
+    search = top_level(ast.parse((SRC / "arrowing.py").read_text()), "_search")
+    fields = {id(node.value) for node in ast.walk(search)
+              if isinstance(node, ast.Attribute)
+              and node.attr in ("max_nodes", "max_seconds")}
+    bare = [node.lineno for node in ast.walk(search)
+            if isinstance(node, ast.Name) and node.id == "budget"
+            and id(node) not in fields]
+    assert bare == [], f"_search reads budget itself on line(s) {bare}"
