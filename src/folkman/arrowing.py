@@ -184,19 +184,18 @@ class SearchBudget:
 
 
 class SearchOutcome:
-    """The verdict of one search and the instance it decided: `search` is
-    the `kind` of the colorings searched, "edges" or "vertices"."""
+    """The verdict of one search and the instance it decided, read from
+    `inst`: its `graph` and `spec`, and as `search` the `kind` of the
+    colorings searched, "edges" or "vertices"."""
 
     __slots__ = ("verdict", "witness", "stats", "graph", "spec", "search")
 
     def __init__(self, verdict: Verdict, witness: EdgeColoring | VertexColoring | None,
-                 stats: SearchStats, graph: Graph, spec: ArrowSpec, search: str):
+                 stats: SearchStats, inst: ArrowInstance):
         self.verdict = verdict
         self.witness = witness
         self.stats = stats
-        self.graph = graph
-        self.spec = spec
-        self.search = search
+        self.graph, self.spec, self.search = inst.g, inst.spec, inst.coloring.kind
 
     def to_json_obj(self) -> dict:
         """The run record `arrows --evidence-out` writes: a log of the run.
@@ -544,10 +543,10 @@ def _search(inst: ArrowInstance, budget: SearchBudget = SearchBudget(),
     setup_start = time.monotonic()
     if progress_every < 0:
         raise ValueError(f"progress interval must be >= 0, got {progress_every}")
-    g, spec = inst.g, inst.spec
+    g = inst.g
     elist, order, bounds = inst.items, inst.order, inst.bounds
     by_edge = (None,) + inst.by_edge  # indexed by color
-    adj, n, m, r = g.adj, g.n, len(elist), spec.r
+    adj, n, m, r = g.adj, g.n, len(elist), inst.spec.r
 
     dom = list(inst.domains)
     col = [0] * m  # col[e]: item e's color, 0 while e is uncolored
@@ -681,12 +680,11 @@ def _search(inst: ArrowInstance, budget: SearchBudget = SearchBudget(),
     stats.setup_seconds = start - setup_start
     stats.seconds = time.monotonic() - start
     if verdict is not Verdict.FREE_COLORING:
-        return SearchOutcome(verdict, None, stats, g, spec, inst.coloring.kind)
+        return SearchOutcome(verdict, None, stats, inst)
     colors = tuple(col)
     if inst.violation(colors) is not None:
         raise RuntimeError("search produced a non-free witness")
-    return SearchOutcome(verdict, inst.coloring(g, colors), stats, g, spec,
-                         inst.coloring.kind)
+    return SearchOutcome(verdict, inst.coloring(g, colors), stats, inst)
 
 
 def arrows_vertices(g: Graph, spec: ArrowSpec, budget: SearchBudget = SearchBudget(),

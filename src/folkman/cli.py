@@ -63,8 +63,7 @@ def resolve_graph(source: str) -> Graph:
     - `C<n>(<d>,...)`, the circulant on n vertices with those offsets;
     - `K<n>` or `C<n>`, when an ASCII digit follows the letter;
     - a literal graph6 string;
-    - a name in `bounds.BUILTIN_GRAPHS` (`q` or `Q`, `theorem-graph`,
-      `lin-graph`).
+    - a name in `bounds.BUILTIN_GRAPHS` (`q` or `Q`, `theorem-graph`).
 
     Numbers are read by `decimal`.  No graph6 string or builtin name holds
     `+`, `(`, `)` or `,`.  So every label a constructor writes, such as

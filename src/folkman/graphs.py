@@ -107,6 +107,8 @@ def cycle(n: int) -> Graph:
 
 def circulant(n: int, connections) -> Graph:
     offs = sorted(set(connections))
+    if not offs:
+        raise GraphError("circulant needs at least one offset")
     for d in offs:
         if not 1 <= d <= n // 2:
             raise GraphError(f"circulant offset {d} outside 1..{n // 2}")

@@ -16,7 +16,7 @@ from folkman.arrowing import (ArrowInstance, ArrowSpec, ColoringError,
 from folkman.graphs import (Graph, _individualize, _refine, _target, _twin_classes,
                             automorphism_generators, circulant, complete, cycle,
                             edges, join, mask_of)
-from folkman.bounds import bound_certificate, build_lin_graph, build_q, build_theorem_graph
+from folkman.bounds import bound_certificate, build_q, build_theorem_graph
 from folkman.cnf import (CnfError, decode_model, dimacs_sha256, emit_dimacs,
                          encode_edge_arrowing)
 from oracles import (brute_arrows_edges, brute_arrows_edges_2color,
@@ -759,7 +759,7 @@ def test_automorphisms_hold_a_transversal_of_each_level():
     graphs += symmetric_graphs(max_n=10, max_edges=45)
     graphs += [complete(9), join(c5, join(c5, c5)), join(complete(2), q),
                join(complete(3), q), join(complete(3), join(c5, c5)),
-               build_theorem_graph(), build_lin_graph()]
+               build_theorem_graph(), join(complete(8), join(c5, c5))]
     levels = compared = 0
     for g in graphs:
         perms = automorphism_generators(g)

@@ -6,11 +6,11 @@ import folkman
 from folkman.arrowing import (ArrowSpec, SearchBudget, Verdict, arrows_edges,
                               arrows_vertices)
 from folkman.bounds import (CATALOG, CertificateError, ConstructionError,
-                            bound_certificate, build_lin_graph, build_q,
-                            build_theorem_graph, check_bound_instance)
+                            bound_certificate, build_q, build_theorem_graph,
+                            check_bound_instance)
 from folkman.cnf import dimacs_sha256, emit_dimacs, encode_edge_arrowing
 from folkman.graphs import (circulant, complement, complete, cycle, emit_graph6,
-                            max_clique, parse_graph6)
+                            join, max_clique, parse_graph6)
 
 THEOREM_SHA256 = "1db983c4daf1e0fb098631f12433725bbed4c16f61082756f81ea39502e98325"
 
@@ -52,7 +52,7 @@ def test_theorem_graph():
 
 
 def test_lin_graph():
-    g = build_lin_graph()
+    g = join(complete(8), join(cycle(5), cycle(5)))
     assert g.n == 18
     assert len(max_clique(g)) == 12
 
@@ -182,7 +182,8 @@ def test_certificate_refuses_solver_record_without_cnf():
 
 
 def test_certificate_catalog_gate():
-    lin = build_lin_graph()  # 18 vertices: open problem, below the best 21
+    # K8+C5+C5, 18 vertices: an open problem, below the best 21
+    lin = join(complete(8), join(cycle(5), cycle(5)))
     for sizes in ((3, 5), (5, 3)):
         spec = ArrowSpec(sizes)
         with pytest.raises(CertificateError, match="best published upper bound 21"):

@@ -54,7 +54,7 @@ def test_construct_k8_and_circulant_and_join(capsys):
 
 
 LABELLED_SOURCES = ["K1", "K8", "C5", "C13(1,5)", "C13(5,1)+K2", "q", "Q",
-                    "theorem-graph", "lin-graph", "K8+q", "K3+C5+C5", "K11+C5",
+                    "theorem-graph", "K8+C5+C5", "K8+q", "K3+C5+C5", "K11+C5",
                     "K1+C5+C5+C5"]
 
 
@@ -107,6 +107,13 @@ def test_builtin_names_are_not_graph6():
     for name in [*BUILTIN_GRAPHS, "Q", "K8+Q", "K8+C5+C5", "C13(1,5)"]:
         with pytest.raises(ValueError):
             parse_graph6(name)
+
+
+def test_construct_refuses_lin_graph(capsys):
+    # Lin's graph has one name, its join K8+C5+C5; `lin-graph` is no source.
+    code, out, err = run(capsys, "construct", "lin-graph")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: unknown graph source 'lin-graph'")
 
 
 def test_construct_unknown(capsys):
@@ -167,7 +174,7 @@ def test_arrows_vertices_c5_exit_1_with_witness(capsys, tmp_path):
 def test_arrows_budget_exit_2(capsys):
     # K9 -> (3,4) now takes 98 nodes; the open K8+C5+C5 -> (3,5) takes
     # millions.
-    code, out, _ = run(capsys, "arrows", "edges", "--graph", "lin-graph",
+    code, out, _ = run(capsys, "arrows", "edges", "--graph", "K8+C5+C5",
                        "--spec", "3,5", "--max-nodes", "100")
     assert code == 2
     assert out_map(out)["verdict"] == "budget-exhausted"
@@ -226,20 +233,17 @@ def test_relabelled_k3_c5_c5_graph6():
 
 
 @pytest.mark.parametrize("graph, header, sha", [
-    ("lin-graph", "143 4982",
-     "d7a04ce27b16e1d2ebb64b4d4160faa6415a8ae949d5872c85b0de6471eae287"),
     (RELABELLED_K3_C5_C5, "68 446",
      "5ae7b14591e547651c5b68227b1e66c8f74f9b607de2f9763395903d00c6cd93"),
     ("K8+C5+C5", "143 4982",
      "d7a04ce27b16e1d2ebb64b4d4160faa6415a8ae949d5872c85b0de6471eae287"),
     ("K8+q", "184 7288",
      "1db983c4daf1e0fb098631f12433725bbed4c16f61082756f81ea39502e98325"),
-], ids=["lin-graph", "relabelled-K3+C5+C5", "K8+C5+C5", "K8+q"])
+], ids=["relabelled-K3+C5+C5", "K8+C5+C5", "K8+q"])
 def test_encode_dimacs_pins(capsys, tmp_path, graph, header, sha):
     # DIMACS bytes beyond the theorem graph's pin in test_cnf.py.  The
     # DIMACS names the graph's label, so a source whose label is that of a
-    # builtin name (lin-graph is K8+C5+C5, theorem-graph K8+Q) encodes to
-    # the builtin's bytes.
+    # builtin name (theorem-graph is K8+Q) encodes to the builtin's bytes.
     path = tmp_path / "out.cnf"
     code, out, _ = run(capsys, "encode", "--graph", graph, "--spec", "3,5", "-o", str(path))
     assert code == 0
@@ -371,7 +375,7 @@ def test_certify_refuses_untied_record_for_open_problem(capsys, tmp_path):
     # F_e(3,5;13) <= 18.
     evidence = tmp_path / "bare.json"
     evidence.write_text(json.dumps({"verdict": "arrows"}))
-    code, out, err = run(capsys, "certify", "--graph", "lin-graph",
+    code, out, err = run(capsys, "certify", "--graph", "K8+C5+C5",
                          "--spec", "3,5", "--q", "13",
                          "--evidence", str(evidence))
     assert code == 3
@@ -717,7 +721,7 @@ def unsat_record(capsys, tmp_path, graph, spec, **keys):
 @pytest.mark.parametrize("graph,spec,q", [
     ("K5", "3,3", "7"),          # F_e(3,3;7) = R(3,3) = 6
     ("C5", "3,3", "3"),          # F_e(3,3;3) is undefined
-    ("lin-graph", "5,3", "13"),  # open problem, below the published 21
+    ("K8+C5+C5", "5,3", "13"),   # open problem, below the published 21
     ("K12", "5,3", "13"),        # below the published lower bound 18
     ("K5", "3,3,3", "6"),        # no CNF exists for a 3-color spec
 ])
@@ -732,7 +736,9 @@ def test_certify_refuses_bare_unsat_record(capsys, tmp_path, graph, spec, q):
 
 
 @pytest.mark.parametrize("graph,refusal", [
-    ("lin-graph", "best published upper bound 21"),
+    # Lin's graph, spelled as its join.
+    pytest.param("K8+C5+C5", "best published upper bound 21",
+                 id="lin-graph-best published upper bound 21"),
     ("K12", "known lower bound 18"),
 ])
 def test_certify_catalog_gate_ignores_spec_order(capsys, tmp_path, graph, refusal):

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from folkman.bounds import build_lin_graph, build_q, build_theorem_graph
+from folkman.bounds import build_q, build_theorem_graph
 from folkman.graphs import (Graph, GraphError, Graph6Error, complete, cycle,
                             circulant, complement, join, edges,
                             has_clique, max_clique, enumerate_cliques,
@@ -49,6 +49,12 @@ def test_circulant():
         circulant(13, {7})
     with pytest.raises(GraphError):
         circulant(13, {0})
+
+
+def test_circulant_needs_an_offset():
+    # With no offset the label would be `C5()`, which no source reads back.
+    with pytest.raises(GraphError, match="at least one offset"):
+        circulant(5, [])
 
 
 def test_complement():
@@ -400,7 +406,7 @@ def test_benchmark_graph_generators_are_pinned():
     q, c5 = build_q(), cycle(5)
     benchmark_graphs = [complete(9), join(c5, join(c5, c5)), join(complete(2), q),
                         join(complete(3), q), join(complete(3), join(c5, c5)),
-                        build_theorem_graph(), build_lin_graph()]
+                        build_theorem_graph(), join(complete(8), join(c5, c5))]
     gens = [automorphism_generators(g) for g in benchmark_graphs]
     assert [len(perms) for perms in gens] == [8, 49, 25, 26, 25, 31, 30]
     assert hashlib.sha256(repr(gens).encode()).hexdigest() == GENERATORS_SHA256
